@@ -86,6 +86,7 @@ struct candidate_evaluator::session {
   std::vector<char> frac_ready;
   std::unordered_map<graph::node_id, std::vector<std::int32_t>> peer_dist;
   std::vector<double> delta;               // accumulation scratch
+  graph::sp_dag resweep;                   // re-sweep scratch (buffers kept)
   std::vector<char> affected;              // per-candidate scratch
   std::vector<double> ub_src;              // per-source bound contributions
 };
@@ -183,7 +184,8 @@ double candidate_evaluator::base_value() {
   sweep_stats& stats = provider_.mutable_stats();
   session& ses = *session_;
   const topology::game_params& p = provider_.params();
-  const lazy_prob_rows rows(work_, p.s, p.basis, provider_.active());
+  const lazy_prob_rows rows(work_, provider_.rank_masses(work_.node_count()),
+                            p.basis, provider_.active());
 
   const std::vector<std::int32_t> dist_u = graph::bfs_distances(work_, u_);
   ++stats.support_bfs;
@@ -273,7 +275,8 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   }
 
   toggle_diff(set, /*on=*/true);
-  const lazy_prob_rows rows(work_, p.s, p.basis, provider_.active());
+  const lazy_prob_rows rows(work_, provider_.rank_masses(work_.node_count()),
+                            p.basis, provider_.active());
   const std::vector<std::int32_t> fee_dist = graph::bfs_distances(work_, u_);
   ++stats.support_bfs;
   arena_counters::get().support_bfs.add();
@@ -295,6 +298,12 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   // dot products only — not a single sweep.
   if (bounding) {
     const std::vector<std::int32_t>& du = ses.peer_dist.at(u_);
+    // The cones' BFS arrays, looked up once rather than per target.
+    std::vector<const std::vector<std::int32_t>*> added_dist, removed_dist;
+    for (const graph::node_id q : added)
+      added_dist.push_back(&ses.peer_dist.at(q));
+    for (const graph::node_id q : removed)
+      removed_dist.push_back(&ses.peer_dist.at(q));
     ses.ub_src.assign(ses.plan.sources.size(), 0.0);
     double ub_acc = 0.0;
     for (std::size_t i = 0; i < ses.plan.sources.size(); ++i) {
@@ -322,13 +331,13 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
           if (t == u_ || t == s || w_row[t] <= 0.0) continue;
           // Exit u over base edges or through an added channel.
           std::int64_t exit_lb = hops(du, t);
-          for (const graph::node_id q : added) {
-            exit_lb = std::min(exit_lb, 1 + hops(ses.peer_dist.at(q), t));
+          for (const std::vector<std::int32_t>* dq : added_dist) {
+            exit_lb = std::min(exit_lb, 1 + hops(*dq, t));
           }
           bool cone = du_lb + exit_lb <= hops(ds, t);
           for (std::size_t r = 0; !cone && r < removed.size(); ++r) {
             const graph::node_id q = removed[r];
-            const std::vector<std::int32_t>& dq = ses.peer_dist.at(q);
+            const std::vector<std::int32_t>& dq = *removed_dist[r];
             cone = hops(ds, u_) + 1 + hops(dq, t) == hops(ds, t) ||
                    hops(ds, q) + 1 + hops(du, t) == hops(ds, t);
           }
@@ -388,8 +397,8 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
           return potential;
         }
       }
-      const graph::sp_dag fresh = graph::shortest_path_dag(work_, s);
-      graph::source_dependencies(work_, fresh, s, w, ses.delta);
+      graph::shortest_path_dag(work_, s, ses.resweep);
+      graph::source_dependencies(work_, ses.resweep, s, w, ses.delta);
       ++stats.resweeps;
       arena_counters::get().resweep.add();
     } else {

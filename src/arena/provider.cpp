@@ -107,7 +107,8 @@ topology::utility_breakdown utility_provider::evaluate(
   const std::uint64_t swept = swept_sources(backend, g.node_count() - 1);
   stats_.full_sweeps += swept;
   full_sweep_counter().add(swept);
-  const lazy_prob_rows rows(g, params_.s, params_.basis, active_);
+  const lazy_prob_rows rows(g, rank_masses(g.node_count()), params_.basis,
+                           active_);
   // One O(n + m) freeze buys the whole sweep flat-array locality; the frozen
   // view is bitwise-equivalent to the adjacency path on every backend, so
   // every pinned result upstream is unchanged.
@@ -133,7 +134,8 @@ std::vector<double> utility_provider::node_scores(
   const std::uint64_t swept = swept_sources(backend, g.node_count());
   stats_.full_sweeps += swept;
   full_sweep_counter().add(swept);
-  const lazy_prob_rows rows(g, params_.s, params_.basis, active_);
+  const lazy_prob_rows rows(g, rank_masses(g.node_count()), params_.basis,
+                           active_);
   const graph::csr_graph frozen = graph::freeze(g);
   const graph::betweenness_result bw = graph::weighted_betweenness(
       frozen,

@@ -100,23 +100,31 @@ struct sweep_stats {
 
 /// Lazily materialised p_trans rows: the sampled backend only ever asks for
 /// its pivot sources (plus the evaluated node's own row for E_fees), so
-/// computing rows on demand keeps an evaluation at O(k * n log n) instead
-/// of the O(n^2 log n) full matrix. Shared with arena/incremental.cpp so
-/// both evaluation paths materialise byte-identical rows.
+/// computing rows on demand keeps an evaluation at O(m + k * n) — one O(m)
+/// in-degree pass at construction, then O(n + deg u) per row
+/// (dist::sender_row) — instead of the O(n^2) full matrix. Shared with
+/// arena/incremental.cpp so both evaluation paths materialise
+/// byte-identical rows.
+///
+/// Rows reflect the graph as it was at construction: keep `g` unchanged
+/// while the object is alive. row() may run on the betweenness backend's
+/// worker threads, one thread per source row, so construction does every
+/// shared write and row() touches only its own slot.
 class lazy_prob_rows {
  public:
-  /// `active` restricts the receiver universe to masked-in nodes
-  /// (dist::transaction_probabilities' mask-aware overload); nullptr — the
-  /// only value the static arena ever passes — delegates to the historical
-  /// unmasked path bit for bit.
-  lazy_prob_rows(const graph::digraph& g, double s, dist::rank_basis basis,
+  /// `masses` is dist::zipf_rank_masses(k, s) with k >= the node count
+  /// (utility_provider::rank_masses); `active` restricts the receiver
+  /// universe to masked-in nodes, nullptr meaning everyone.
+  lazy_prob_rows(const graph::digraph& g, const std::vector<double>& masses,
+                 dist::rank_basis basis,
                  const std::vector<char>* active = nullptr)
-      : g_(g), s_(s), basis_(basis), active_(active), rows_(g.node_count()),
+      : g_(g), masses_(masses), basis_(basis), active_(active),
+        in_deg_(dist::in_degrees(g)), rows_(g.node_count()),
         ready_(g.node_count(), 0) {}
 
   const std::vector<double>& row(graph::node_id u) const {
     if (!ready_[u]) {
-      rows_[u] = dist::transaction_probabilities(g_, u, s_, basis_, active_);
+      rows_[u] = dist::sender_row(g_, in_deg_, u, basis_, active_, masses_);
       ready_[u] = 1;
     }
     return rows_[u];
@@ -124,9 +132,10 @@ class lazy_prob_rows {
 
  private:
   const graph::digraph& g_;
-  double s_;
+  const std::vector<double>& masses_;
   dist::rank_basis basis_;
   const std::vector<char>* active_;
+  std::vector<std::size_t> in_deg_;
   mutable std::vector<std::vector<double>> rows_;
   mutable std::vector<char> ready_;
 };
@@ -200,6 +209,17 @@ class utility_provider {
     return p;
   }
 
+  /// dist::zipf_rank_masses for ranks 1..n at the game's s, built on the
+  /// first call for a node count this large and reused after — the table
+  /// lazy_prob_rows sums tie blocks from. Call it on the evaluating thread
+  /// before any backend starts; the reference stays valid until a call
+  /// with a larger n.
+  [[nodiscard]] const std::vector<double>& rank_masses(std::size_t n) const {
+    if (rank_masses_.size() < n)
+      rank_masses_ = dist::zipf_rank_masses(n, params_.s);
+    return rank_masses_;
+  }
+
   /// Backend the provider would use for an n-node graph (threshold switch).
   [[nodiscard]] graph::betweenness_options backend_for(std::size_t n) const;
   [[nodiscard]] bool sampled_at(std::size_t n) const {
@@ -249,6 +269,7 @@ class utility_provider {
   mutable std::uint64_t evaluations_ = 0;
   mutable sweep_stats stats_;
   mutable std::shared_ptr<base_dag_cache> dag_cache_;
+  mutable std::vector<double> rank_masses_;
 };
 
 }  // namespace lcg::arena

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "util/error.h"
 
@@ -10,139 +9,140 @@ namespace lcg::dist {
 
 namespace {
 
-/// In-degrees of every node; when `exclude` is valid, edges incident to it
-/// are removed first (its own in-degree entry is not used by callers).
-std::vector<std::size_t> in_degrees(const graph::digraph& g,
-                                    graph::node_id exclude) {
-  std::vector<std::size_t> deg(g.node_count(), 0);
-  for (graph::node_id v = 0; v < g.node_count(); ++v) {
-    std::size_t d = 0;
-    g.for_each_in(v, [&](graph::edge_id, const graph::edge& e) {
-      if (exclude == graph::invalid_node ||
-          (e.src != exclude && e.dst != exclude))
-        ++d;
-    });
-    deg[v] = d;
+/// Writes each member's tie-averaged Zipf mass into out[i] (non-members get
+/// 0) and returns the members' sum in index order. Members are ranked by
+/// degree descending with one counting pass; the block of k equal degrees
+/// occupying ranks [r, r+k-1] gets (masses[r-1] + ... + masses[r+k-2]) / k,
+/// added in ascending rank order — the exact float sequence of a
+/// stable-sort ranking, so no bit moves.
+template <typename Member>
+double rank_block_masses(const std::vector<std::size_t>& deg, Member member,
+                         const std::vector<double>& masses,
+                         std::vector<double>& out) {
+  std::size_t max_deg = 0;
+  std::size_t members = 0;
+  for (std::size_t i = 0; i < deg.size(); ++i) {
+    if (!member(i)) continue;
+    max_deg = std::max(max_deg, deg[i]);
+    ++members;
   }
-  return deg;
-}
+  LCG_EXPECTS(masses.size() >= members);
 
-/// Shared core: normalised rank factors over the nodes != u (p[u] = 0).
-std::vector<double> sender_row(const graph::digraph& g, graph::node_id u,
-                               double s, rank_basis basis) {
-  LCG_EXPECTS(g.has_node(u));
-  const std::vector<std::size_t> deg = in_degrees(
-      g, basis == rank_basis::drop_sender_edges ? u : graph::invalid_node);
+  std::vector<std::size_t> count(max_deg + 1, 0);
+  for (std::size_t i = 0; i < deg.size(); ++i)
+    if (member(i)) ++count[deg[i]];
 
-  // Rank the other n-1 nodes only.
-  std::vector<std::size_t> others;
-  others.reserve(g.node_count() - 1);
-  for (graph::node_id v = 0; v < g.node_count(); ++v)
-    if (v != u) others.push_back(deg[v]);
-  const std::vector<double> rf = rank_factors(others, s);
-
-  std::vector<double> p(g.node_count(), 0.0);
-  const double total = std::accumulate(rf.begin(), rf.end(), 0.0);
-  if (total <= 0.0) return p;
-  std::size_t i = 0;
-  for (graph::node_id v = 0; v < g.node_count(); ++v) {
-    if (v == u) continue;
-    p[v] = rf[i++] / total;
+  std::vector<double> block(max_deg + 1, 0.0);
+  std::size_t taken = 0;  // ranks [1, taken] belong to higher degrees
+  for (std::size_t d = max_deg + 1; d-- > 0;) {
+    const std::size_t k = count[d];
+    if (k == 0) continue;
+    double mass = 0.0;
+    for (std::size_t r = taken; r < taken + k; ++r) mass += masses[r];
+    block[d] = mass / static_cast<double>(k);
+    taken += k;
   }
-  return p;
+
+  double total = 0.0;
+  for (std::size_t i = 0; i < deg.size(); ++i) {
+    out[i] = member(i) ? block[deg[i]] : 0.0;
+    total += out[i];
+  }
+  return total;
 }
 
 }  // namespace
 
-std::vector<double> rank_factors(const std::vector<std::size_t>& degrees,
-                                 double s) {
+std::vector<double> zipf_rank_masses(std::size_t n, double s) {
   LCG_EXPECTS(s >= 0.0);
-  const std::size_t n = degrees.size();
-  std::vector<double> rf(n, 0.0);
-  if (n == 0) return rf;
-
-  // Indices sorted by degree descending; equal degrees form a tie block.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&degrees](std::size_t a, std::size_t b) {
-                     return degrees[a] > degrees[b];
-                   });
-
-  std::size_t block_start = 0;
-  while (block_start < n) {
-    std::size_t block_end = block_start + 1;
-    while (block_end < n &&
-           degrees[order[block_end]] == degrees[order[block_start]])
-      ++block_end;
-    // The block occupies ranks [block_start+1, block_end]; average its mass.
-    double mass = 0.0;
-    for (std::size_t r = block_start + 1; r <= block_end; ++r)
-      mass += std::pow(static_cast<double>(r), -s);
-    mass /= static_cast<double>(block_end - block_start);
-    for (std::size_t i = block_start; i < block_end; ++i)
-      rf[order[i]] = mass;
-    block_start = block_end;
-  }
-  return rf;
+  std::vector<double> masses(n);
+  for (std::size_t r = 1; r <= n; ++r)
+    masses[r - 1] = std::pow(static_cast<double>(r), -s);
+  return masses;
 }
 
-std::vector<double> transaction_probabilities(const graph::digraph& g,
-                                              graph::node_id u, double s,
-                                              rank_basis basis) {
-  return sender_row(g, u, s, basis);
+std::vector<std::size_t> in_degrees(const graph::digraph& g) {
+  std::vector<std::size_t> deg(g.node_count());
+  for (graph::node_id v = 0; v < g.node_count(); ++v) deg[v] = g.in_degree(v);
+  return deg;
+}
+
+std::vector<double> sender_row(const graph::digraph& g,
+                               const std::vector<std::size_t>& in_deg,
+                               graph::node_id u, rank_basis basis,
+                               const std::vector<char>* active,
+                               const std::vector<double>& masses) {
+  const std::size_t n = g.node_count();
+  const bool sender = u != graph::invalid_node;
+  LCG_EXPECTS(in_deg.size() == n);
+  LCG_EXPECTS(!sender || g.has_node(u));
+  LCG_EXPECTS(active == nullptr || active->size() == n);
+  std::vector<double> p(n, 0.0);
+  // A departed sender generates no demand at all: betweenness sweeps may
+  // still pick it as a source (it is a node of the shared graph), and an
+  // all-zero row makes its contribution vanish instead of tripping.
+  if (sender && active != nullptr && !(*active)[u]) return p;
+
+  // On V' (drop_sender_edges) every receiver loses exactly the in-edges u
+  // sends it; no other in-degree changes.
+  const std::vector<std::size_t>* deg = &in_deg;
+  std::vector<std::size_t> dropped;
+  if (sender && basis == rank_basis::drop_sender_edges) {
+    dropped = in_deg;
+    g.for_each_out(u, [&](graph::edge_id, const graph::edge& e) {
+      --dropped[e.dst];
+    });
+    deg = &dropped;
+  }
+
+  // Departed players stay out of the receiver universe entirely (their
+  // mass is 0, not merely unreachable).
+  const auto member = [&](std::size_t v) {
+    return v != u && (active == nullptr || (*active)[v]);
+  };
+  const double total = rank_block_masses(*deg, member, masses, p);
+  if (total <= 0.0) {
+    std::fill(p.begin(), p.end(), 0.0);
+    return p;
+  }
+  for (graph::node_id v = 0; v < n; ++v)
+    if (member(v)) p[v] /= total;
+  return p;
+}
+
+std::vector<double> rank_factors(const std::vector<std::size_t>& degrees,
+                                 double s) {
+  std::vector<double> rf(degrees.size(), 0.0);
+  (void)rank_block_masses(
+      degrees, [](std::size_t) { return true; },
+      zipf_rank_masses(degrees.size(), s), rf);
+  return rf;
 }
 
 std::vector<double> transaction_probabilities(const graph::digraph& g,
                                               graph::node_id u, double s,
                                               rank_basis basis,
                                               const std::vector<char>* active) {
-  if (active == nullptr) return sender_row(g, u, s, basis);
-  LCG_EXPECTS(active->size() == g.node_count());
   LCG_EXPECTS(g.has_node(u));
-  // A departed sender generates no demand at all: betweenness sweeps may
-  // still pick it as a source (it is a node of the shared graph), and an
-  // all-zero row makes its contribution vanish instead of tripping.
-  if (!(*active)[u]) return std::vector<double>(g.node_count(), 0.0);
-  const std::vector<std::size_t> deg = in_degrees(
-      g, basis == rank_basis::drop_sender_edges ? u : graph::invalid_node);
-
-  // Rank only the OTHER ACTIVE nodes; departed players stay out of the
-  // receiver universe entirely (their mass is 0, not merely unreachable).
-  std::vector<std::size_t> others;
-  others.reserve(g.node_count() - 1);
-  for (graph::node_id v = 0; v < g.node_count(); ++v)
-    if (v != u && (*active)[v]) others.push_back(deg[v]);
-  const std::vector<double> rf = rank_factors(others, s);
-
-  std::vector<double> p(g.node_count(), 0.0);
-  double total = 0.0;
-  for (const double f : rf) total += f;
-  if (total <= 0.0) return p;
-  std::size_t i = 0;
-  for (graph::node_id v = 0; v < g.node_count(); ++v) {
-    if (v == u || !(*active)[v]) continue;
-    p[v] = rf[i++] / total;
-  }
-  return p;
+  return sender_row(g, in_degrees(g), u, basis, active,
+                    zipf_rank_masses(g.node_count(), s));
 }
 
 std::vector<std::vector<double>> transaction_probability_matrix(
     const graph::digraph& g, double s, rank_basis basis) {
+  const std::vector<std::size_t> in_deg = in_degrees(g);
+  const std::vector<double> masses = zipf_rank_masses(g.node_count(), s);
   std::vector<std::vector<double>> rows(g.node_count());
   for (graph::node_id u = 0; u < g.node_count(); ++u)
-    rows[u] = sender_row(g, u, s, basis);
+    rows[u] = sender_row(g, in_deg, u, basis, nullptr, masses);
   return rows;
 }
 
 std::vector<double> newcomer_transaction_probabilities(
     const graph::digraph& g, double s) {
-  const std::vector<std::size_t> deg = in_degrees(g, graph::invalid_node);
-  std::vector<double> rf = rank_factors(deg, s);
-  const double total = std::accumulate(rf.begin(), rf.end(), 0.0);
-  if (total > 0.0)
-    for (double& f : rf) f /= total;
-  return rf;
+  return sender_row(g, in_degrees(g), graph::invalid_node,
+                    rank_basis::keep_sender_edges, nullptr,
+                    zipf_rank_masses(g.node_count(), s));
 }
 
 }  // namespace lcg::dist

@@ -40,7 +40,7 @@ struct digraph_sweep_view {
   [[nodiscard]] std::size_t node_count() const { return g.node_count(); }
   [[nodiscard]] node_id src_of(edge_id e) const { return g.edge_at(e).src; }
   [[nodiscard]] edge_id result_slot(edge_id e) const { return e; }
-  [[nodiscard]] sp_dag dag(node_id s) const { return shortest_path_dag(g, s); }
+  void dag(node_id s, sp_dag& out) const { shortest_path_dag(g, s, out); }
 };
 
 struct csr_sweep_view {
@@ -52,7 +52,7 @@ struct csr_sweep_view {
   [[nodiscard]] edge_id result_slot(csr_graph::packed_id k) const {
     return c.edge_slot(k);
   }
-  [[nodiscard]] sp_dag dag(node_id s) const { return shortest_path_dag(c, s); }
+  void dag(node_id s, sp_dag& out) const { shortest_path_dag(c, s, out); }
 };
 
 /// The Brandes backward accumulation over a (possibly cached) DAG: the ONE
@@ -85,14 +85,16 @@ void accumulate_over_dag(const View& view, const sp_dag& dag, node_id s,
 
 /// Runs the Brandes backward accumulation for one source into `out`.
 /// `want_edges` == false skips the per-edge recording (node-only queries).
+/// `dag` is the calling thread's sweep scratch, re-filled in place so a
+/// thread's sweeps after its first allocate nothing.
 template <typename View>
 void compute_contribution(const View& view, node_id s,
                           const pair_weight_fn& w, bool want_edges,
-                          source_contribution& out) {
+                          source_contribution& out, sp_dag& dag) {
   out.source = s;
   out.delta.assign(view.node_count(), 0.0);
   out.edge.clear();
-  const sp_dag dag = view.dag(s);
+  view.dag(s, dag);
   accumulate_over_dag(view, dag, s, w, want_edges ? &out.edge : nullptr,
                       out.delta);
 }
@@ -136,8 +138,9 @@ void run_sweeps(const View& view, const std::vector<node_id>& sources,
   const bool want_edges = edge_acc != nullptr;
   if (threads <= 1) {
     source_contribution c;
+    sp_dag dag;
     for (const node_id s : sources) {
-      compute_contribution(view, s, w, want_edges, c);
+      compute_contribution(view, s, w, want_edges, c, dag);
       merge(c, scale, node_acc, edge_acc);
     }
     return;
@@ -162,6 +165,7 @@ void run_sweeps(const View& view, const std::vector<node_id>& sources,
   std::barrier sync(static_cast<std::ptrdiff_t>(threads) + 1);
 
   const auto worker = [&]() {
+    sp_dag dag;
     for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
       const std::size_t begin = chunk * chunk_size;
       const std::size_t end = std::min(begin + chunk_size, sources.size());
@@ -170,7 +174,7 @@ void run_sweeps(const View& view, const std::vector<node_id>& sources,
           const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
           if (i >= end) break;
           compute_contribution(view, sources[i], w, want_edges,
-                               slots[i - begin]);
+                               slots[i - begin], dag);
         }
       } catch (...) {
         {

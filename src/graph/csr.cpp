@@ -96,35 +96,32 @@ std::vector<std::int32_t> bfs_distances(const csr_graph& c, node_id src) {
 }
 
 sp_dag shortest_path_dag(const csr_graph& c, node_id src) {
-  LCG_EXPECTS(c.has_node(src));
-  const std::size_t n = c.node_count();
   sp_dag result;
-  result.dist.assign(n, unreachable);
-  result.sigma.assign(n, 0.0);
-  result.pred.assign(n, {});
-  result.order.reserve(n);
+  shortest_path_dag(c, src, result);
+  return result;
+}
 
-  std::queue<node_id> frontier;
-  result.dist[src] = 0;
-  result.sigma[src] = 1.0;
-  frontier.push(src);
-  while (!frontier.empty()) {
-    const node_id v = frontier.front();
-    frontier.pop();
-    result.order.push_back(v);
+void shortest_path_dag(const csr_graph& c, node_id src, sp_dag& out) {
+  LCG_EXPECTS(c.has_node(src));
+  out.reset(c.node_count());
+  out.dist[src] = 0;
+  out.sigma[src] = 1.0;
+  out.order.push_back(src);
+  for (std::size_t head = 0; head < out.order.size(); ++head) {
+    const node_id v = out.order[head];
     for (csr_graph::packed_id k = c.row_begin(v); k < c.row_end(v); ++k) {
       const node_id w = c.edge_dst(k);
-      if (result.dist[w] == unreachable) {
-        result.dist[w] = result.dist[v] + 1;
-        frontier.push(w);
+      if (out.dist[w] == unreachable) {
+        out.dist[w] = out.dist[v] + 1;
+        out.order.push_back(w);
       }
-      if (result.dist[w] == result.dist[v] + 1) {
-        result.sigma[w] += result.sigma[v];
-        result.pred[w].push_back(k);  // packed index, not original edge id
+      if (out.dist[w] == out.dist[v] + 1) {
+        out.sigma[w] += out.sigma[v];
+        out.pred.add(w, k);  // packed index, not original edge id
       }
     }
   }
-  return result;
+  out.pred.group();
 }
 
 bucket_sssp_result bucket_dijkstra(const csr_graph& c, node_id src,

@@ -141,6 +141,10 @@ class csr_graph {
 /// sigma and order match the digraph's exactly.
 [[nodiscard]] sp_dag shortest_path_dag(const csr_graph& c, node_id src);
 
+/// In-place form with the digraph overload's buffer reuse (see
+/// graph/traversal.h): a warm `out` is re-swept without allocating.
+void shortest_path_dag(const csr_graph& c, node_id src, sp_dag& out);
+
 /// Dial bucket-queue single-source shortest paths for small non-negative
 /// integer edge weights — the uniform-weight (hop metric) replacement for
 /// the binary-heap Dijkstra on frozen hosts. `weight` gives the cost of

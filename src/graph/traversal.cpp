@@ -24,36 +24,62 @@ std::vector<std::int32_t> bfs_distances(const digraph& g, node_id src) {
   return dist;
 }
 
-sp_dag shortest_path_dag(const digraph& g, node_id src) {
-  LCG_EXPECTS(g.has_node(src));
-  const std::size_t n = g.node_count();
-  sp_dag result;
-  result.dist.assign(n, unreachable);
-  result.sigma.assign(n, 0.0);
-  result.pred.assign(n, {});
-  result.order.reserve(n);
+void pred_lists::reset(std::size_t n) {
+  offset_.assign(n + 1, 0);
+  keys_.clear();
+  staged_.clear();
+}
 
-  std::queue<node_id> frontier;
-  result.dist[src] = 0;
-  result.sigma[src] = 1.0;
-  frontier.push(src);
-  while (!frontier.empty()) {
-    const node_id v = frontier.front();
-    frontier.pop();
-    result.order.push_back(v);
+void pred_lists::group() {
+  // Counting sort by head node: count into offset_[v + 1], prefix-sum, then
+  // scatter with offset_[v] as v's cursor (which leaves it at v's end) and
+  // shift the offsets back one slot.
+  for (const auto& [v, key] : staged_) ++offset_[v + 1];
+  const std::size_t n = size();
+  for (std::size_t v = 0; v < n; ++v) offset_[v + 1] += offset_[v];
+  keys_.resize(staged_.size());
+  for (const auto& [v, key] : staged_) keys_[offset_[v]++] = key;
+  for (std::size_t v = n; v > 0; --v) offset_[v] = offset_[v - 1];
+  offset_[0] = 0;
+}
+
+void sp_dag::reset(std::size_t n) {
+  dist.assign(n, unreachable);
+  sigma.assign(n, 0.0);
+  pred.reset(n);
+  order.clear();
+  order.reserve(n);
+}
+
+sp_dag shortest_path_dag(const digraph& g, node_id src) {
+  sp_dag result;
+  shortest_path_dag(g, src, result);
+  return result;
+}
+
+void shortest_path_dag(const digraph& g, node_id src, sp_dag& out) {
+  LCG_EXPECTS(g.has_node(src));
+  out.reset(g.node_count());
+  out.dist[src] = 0;
+  out.sigma[src] = 1.0;
+  out.order.push_back(src);
+  // `order` is the FIFO: nodes are appended when discovered and visited in
+  // that order, which is exactly the dequeue order a queue would give.
+  for (std::size_t head = 0; head < out.order.size(); ++head) {
+    const node_id v = out.order[head];
     g.for_each_out(v, [&](edge_id e, const edge& ed) {
       const node_id w = ed.dst;
-      if (result.dist[w] == unreachable) {
-        result.dist[w] = result.dist[v] + 1;
-        frontier.push(w);
+      if (out.dist[w] == unreachable) {
+        out.dist[w] = out.dist[v] + 1;
+        out.order.push_back(w);
       }
-      if (result.dist[w] == result.dist[v] + 1) {
-        result.sigma[w] += result.sigma[v];
-        result.pred[w].push_back(e);
+      if (out.dist[w] == out.dist[v] + 1) {
+        out.sigma[w] += out.sigma[v];
+        out.pred.add(w, e);
       }
     });
   }
-  return result;
+  out.pred.group();
 }
 
 std::vector<std::vector<std::int32_t>> all_pairs_distances(const digraph& g) {

@@ -11,6 +11,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/digraph.h"
@@ -25,18 +27,55 @@ inline constexpr std::int32_t unreachable = -1;
 [[nodiscard]] std::vector<std::int32_t> bfs_distances(const digraph& g,
                                                       node_id src);
 
+/// Predecessor edge lists of every node of a shortest-path DAG, stored flat:
+/// list v holds v's DAG in-edges in discovery order. It reads like a
+/// vector<vector<edge_id>> — size() lists, operator[] a span — but is built
+/// without one allocation per node, and a re-fill reuses its buffers.
+class pred_lists {
+ public:
+  /// Number of lists (the node count of the sweep).
+  [[nodiscard]] std::size_t size() const noexcept { return offset_.size() - 1; }
+  [[nodiscard]] std::span<const edge_id> operator[](node_id v) const {
+    return {keys_.data() + offset_[v], offset_[v + 1] - offset_[v]};
+  }
+  friend bool operator==(const pred_lists& a, const pred_lists& b) {
+    return a.offset_ == b.offset_ && a.keys_ == b.keys_;
+  }
+
+  /// Filling protocol: reset(n), then add() every DAG edge in discovery
+  /// order, then group() to bucket them by head node (stable).
+  void reset(std::size_t n);
+  void add(node_id v, edge_id key) { staged_.emplace_back(v, key); }
+  void group();
+
+ private:
+  std::vector<std::uint32_t> offset_{0};  // list v: [offset_[v], offset_[v+1])
+  std::vector<edge_id> keys_;
+  std::vector<std::pair<node_id, edge_id>> staged_;  // (head, key) as added
+};
+
 /// Result of a single-source shortest-path-DAG computation.
 struct sp_dag {
-  std::vector<std::int32_t> dist;          // hop distance or `unreachable`
-  std::vector<double> sigma;               // number of shortest paths from src
-  std::vector<std::vector<edge_id>> pred;  // DAG: shortest-path in-edges of v
-  std::vector<node_id> order;              // nodes in non-decreasing distance
+  std::vector<std::int32_t> dist;  // hop distance or `unreachable`
+  std::vector<double> sigma;       // number of shortest paths from src
+  pred_lists pred;                 // DAG: shortest-path in-edges of v
+  std::vector<node_id> order;      // nodes in non-decreasing distance
+
+  /// Sizes every field for an n-node sweep with nothing reached yet,
+  /// keeping all buffers' capacity (the in-place overloads' preamble).
+  void reset(std::size_t n);
 };
 
 /// BFS from `src` computing distances, path counts and the predecessor DAG.
 /// sigma is stored as double: path counts grow exponentially with graph
 /// size and only the ratios sigma_sv/sigma_sw are consumed downstream.
 [[nodiscard]] sp_dag shortest_path_dag(const digraph& g, node_id src);
+
+/// The same DAG written into `out`, reusing its buffers; `order` doubles as
+/// the BFS FIFO, so a re-sweep into a warm `out` allocates nothing. Any
+/// previous contents (any node count) are overwritten; the result equals
+/// the by-value overload field for field.
+void shortest_path_dag(const digraph& g, node_id src, sp_dag& out);
 
 /// All-pairs hop distances (n BFS runs), dist[s][t].
 [[nodiscard]] std::vector<std::vector<std::int32_t>> all_pairs_distances(

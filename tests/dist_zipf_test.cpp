@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <tuple>
 
+#include "arena/provider.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
@@ -136,6 +140,215 @@ TEST(ProbabilityMatrix, RowsMatchPerSenderCalls) {
   const auto matrix = transaction_probability_matrix(g, 1.2);
   for (graph::node_id u = 0; u < g.node_count(); ++u)
     EXPECT_EQ(matrix[u], transaction_probabilities(g, u, 1.2));
+}
+
+// --- Bitwise oracle ---------------------------------------------------------
+//
+// The row builder ranks by a counting pass and sums tie blocks from a
+// pow(r, -s) table. The reference below is the historical implementation it
+// replaced — a stable sort per row and one pow call per rank — kept verbatim
+// so every row can be compared bit for bit, not within a tolerance.
+
+std::vector<double> oracle_rank_factors(const std::vector<std::size_t>& degrees,
+                                        double s) {
+  const std::size_t n = degrees.size();
+  std::vector<double> rf(n, 0.0);
+  if (n == 0) return rf;
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&degrees](std::size_t a, std::size_t b) {
+                     return degrees[a] > degrees[b];
+                   });
+  std::size_t block_start = 0;
+  while (block_start < n) {
+    std::size_t block_end = block_start + 1;
+    while (block_end < n &&
+           degrees[order[block_end]] == degrees[order[block_start]])
+      ++block_end;
+    double mass = 0.0;
+    for (std::size_t r = block_start + 1; r <= block_end; ++r)
+      mass += std::pow(static_cast<double>(r), -s);
+    mass /= static_cast<double>(block_end - block_start);
+    for (std::size_t i = block_start; i < block_end; ++i)
+      rf[order[i]] = mass;
+    block_start = block_end;
+  }
+  return rf;
+}
+
+std::vector<std::size_t> oracle_in_degrees(const graph::digraph& g,
+                                           graph::node_id exclude) {
+  std::vector<std::size_t> deg(g.node_count(), 0);
+  for (graph::node_id v = 0; v < g.node_count(); ++v) {
+    std::size_t d = 0;
+    g.for_each_in(v, [&](graph::edge_id, const graph::edge& e) {
+      if (exclude == graph::invalid_node ||
+          (e.src != exclude && e.dst != exclude))
+        ++d;
+    });
+    deg[v] = d;
+  }
+  return deg;
+}
+
+/// Sender row (u valid) or newcomer row (u == invalid_node) as the
+/// historical code built it, mask included.
+std::vector<double> oracle_sender_row(const graph::digraph& g,
+                                      graph::node_id u, double s,
+                                      rank_basis basis,
+                                      const std::vector<char>* active) {
+  const std::size_t n = g.node_count();
+  if (u != graph::invalid_node && active != nullptr && !(*active)[u])
+    return std::vector<double>(n, 0.0);
+  const std::vector<std::size_t> deg = oracle_in_degrees(
+      g, basis == rank_basis::drop_sender_edges ? u : graph::invalid_node);
+  const auto member = [&](graph::node_id v) {
+    return v != u && (active == nullptr || (*active)[v]);
+  };
+  std::vector<std::size_t> others;
+  for (graph::node_id v = 0; v < n; ++v)
+    if (member(v)) others.push_back(deg[v]);
+  const std::vector<double> rf = oracle_rank_factors(others, s);
+  std::vector<double> p(n, 0.0);
+  const double total = std::accumulate(rf.begin(), rf.end(), 0.0);
+  if (total <= 0.0) return p;
+  std::size_t i = 0;
+  for (graph::node_id v = 0; v < n; ++v)
+    if (member(v)) p[v] = rf[i++] / total;
+  return p;
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  out.reserve(v.size());
+  for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+constexpr double kExponents[] = {0.0, 0.5, 1.0, 1.7, 2.3};
+constexpr std::size_t kSizes[] = {1, 2, 3, 240};
+
+/// A graph whose in-degrees tie heavily: few random channels (some of them
+/// parallel, so the sender decrement must count multiplicity), then a share
+/// of edges toggled off so only ACTIVE edges may count.
+graph::digraph tie_heavy_graph(std::size_t n, rng& gen) {
+  graph::digraph g(n);
+  if (n < 2) return g;
+  const std::size_t channels = 1 + n + n / 2;
+  for (std::size_t c = 0; c < channels; ++c) {
+    const auto a = static_cast<graph::node_id>(
+        gen.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    auto b = static_cast<graph::node_id>(
+        gen.uniform_int(0, static_cast<std::int64_t>(n) - 2));
+    if (b >= a) ++b;
+    if (gen.bernoulli(0.8)) {
+      g.add_bidirectional(a, b);
+    } else {
+      g.add_edge(a, b);
+    }
+  }
+  for (graph::edge_id e = 0; e < g.edge_slots(); ++e)
+    if (gen.bernoulli(0.15)) g.remove_edge(e);
+  return g;
+}
+
+std::vector<char> random_mask(std::size_t n, rng& gen) {
+  std::vector<char> mask(n);
+  for (char& m : mask) m = gen.bernoulli(0.7) ? 1 : 0;
+  return mask;
+}
+
+TEST(ZipfBitwise, RankFactorsMatchSortRanking) {
+  rng gen(101);
+  for (const double s : kExponents) {
+    for (const std::size_t n : kSizes) {
+      for (int trial = 0; trial < 25; ++trial) {
+        // Degrees from a tiny range: heavy ties, blocks of every size.
+        const std::int64_t top = trial % 2 == 0 ? 3 : 40;
+        std::vector<std::size_t> degrees(n);
+        for (std::size_t& d : degrees)
+          d = static_cast<std::size_t>(gen.uniform_int(0, top));
+        EXPECT_EQ(bits(rank_factors(degrees, s)),
+                  bits(oracle_rank_factors(degrees, s)))
+            << "s=" << s << " n=" << n << " trial=" << trial;
+      }
+    }
+  }
+}
+
+TEST(ZipfBitwise, SenderRowsMatchSortRanking) {
+  rng gen(202);
+  for (const std::size_t n : kSizes) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const graph::digraph g = tie_heavy_graph(n, gen);
+      const std::vector<char> mask = random_mask(n, gen);
+      for (const double s : kExponents) {
+        for (const rank_basis basis : {rank_basis::keep_sender_edges,
+                                       rank_basis::drop_sender_edges}) {
+          for (const std::vector<char>* active : {
+                   static_cast<const std::vector<char>*>(nullptr), &mask}) {
+            for (graph::node_id u = 0; u < n; ++u) {
+              ASSERT_EQ(bits(transaction_probabilities(g, u, s, basis, active)),
+                        bits(oracle_sender_row(g, u, s, basis, active)))
+                  << "n=" << n << " trial=" << trial << " s=" << s
+                  << " basis=" << static_cast<int>(basis)
+                  << " masked=" << (active != nullptr) << " u=" << u;
+            }
+          }
+        }
+        EXPECT_EQ(bits(newcomer_transaction_probabilities(g, s)),
+                  bits(oracle_sender_row(g, graph::invalid_node, s,
+                                         rank_basis::keep_sender_edges,
+                                         nullptr)));
+        const auto matrix =
+            transaction_probability_matrix(g, s, rank_basis::drop_sender_edges);
+        for (graph::node_id u = 0; u < n; ++u) {
+          ASSERT_EQ(bits(matrix[u]),
+                    bits(oracle_sender_row(g, u, s,
+                                           rank_basis::drop_sender_edges,
+                                           nullptr)));
+        }
+      }
+    }
+  }
+}
+
+TEST(ZipfBitwise, LazyRowsMatchTransactionProbabilities) {
+  // The arena's lazy rows reuse one in-degree pass and one mass table per
+  // graph state; toggling channels between states must never leave a row
+  // describing the previous state.
+  rng gen(303);
+  for (const std::size_t n : {std::size_t{3}, std::size_t{240}}) {
+    graph::digraph g = tie_heavy_graph(n, gen);
+    const std::vector<char> mask = random_mask(n, gen);
+    for (int state = 0; state < 4; ++state) {
+      for (graph::edge_id e = 0; e < g.edge_slots(); ++e) {
+        if (!gen.bernoulli(0.2)) continue;
+        if (g.edge_active(e)) {
+          g.remove_edge(e);
+        } else {
+          g.restore_edge(e);
+        }
+      }
+      for (const double s : kExponents) {
+        const std::vector<double> masses = zipf_rank_masses(n, s);
+        for (const rank_basis basis : {rank_basis::keep_sender_edges,
+                                       rank_basis::drop_sender_edges}) {
+          for (const std::vector<char>* active : {
+                   static_cast<const std::vector<char>*>(nullptr), &mask}) {
+            const arena::lazy_prob_rows rows(g, masses, basis, active);
+            for (graph::node_id u = 0; u < n; ++u) {
+              ASSERT_EQ(bits(rows.row(u)),
+                        bits(transaction_probabilities(g, u, s, basis, active)))
+                  << "n=" << n << " state=" << state << " s=" << s
+                  << " u=" << u;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -245,6 +245,25 @@ TEST(GraphIoCsv, CommittedFixtureParses) {
   EXPECT_EQ(edges.str(), slurp(dir + "/edges.csv"));
 }
 
+TEST(GraphIoCsv, CommittedFixtureRegenerates) {
+  // The fixture is reproducible, not hand-made: data/snapshots/ba400 is
+  // barabasi_albert(400, 2, rng(400)) with balance 10 per direction,
+  // written by write_csv_snapshot. Regenerating it must give the committed
+  // bytes; write_csv_snapshot(dir, g) with the same graph rewrites it.
+  const std::string dir = std::string(LCG_SNAPSHOT_DIR) + "/ba400";
+  rng gen(400);
+  const snapshot_text want = write_to_text(barabasi_albert(400, 2, gen, 10.0));
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  };
+  EXPECT_EQ(slurp(dir + "/nodes.csv"), want.nodes);
+  EXPECT_EQ(slurp(dir + "/channels.csv"), want.channels);
+  EXPECT_EQ(slurp(dir + "/edges.csv"), want.edges);
+}
+
 TEST(GraphIoCsv, DirectoryConvenienceRoundTrip) {
   rng gen(31);
   const digraph g = barabasi_albert(50, 2, gen, 1.0);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "graph/csr.h"
 #include "graph/generators.h"
+#include "util/rng.h"
 
 namespace lcg::graph {
 namespace {
@@ -69,6 +73,65 @@ TEST(SpDag, CycleGraphTwoWayCounts) {
   // Opposite node reachable two ways around the cycle.
   EXPECT_EQ(dag.dist[2], 2);
   EXPECT_DOUBLE_EQ(dag.sigma[2], 2.0);
+}
+
+/// Predecessor lists by definition: the active in-edges (x, v) with
+/// dist[x] + 1 == dist[v], in the order BFS scans them (x by its position
+/// in `order`, then x's out-edges in adjacency order).
+std::vector<std::vector<edge_id>> expected_preds(const digraph& g,
+                                                 const sp_dag& dag) {
+  std::vector<std::vector<edge_id>> pred(g.node_count());
+  for (const node_id x : dag.order) {
+    g.for_each_out(x, [&](edge_id e, const edge& ed) {
+      if (dag.dist[ed.dst] == dag.dist[x] + 1) pred[ed.dst].push_back(e);
+    });
+  }
+  return pred;
+}
+
+void expect_same_dag(const sp_dag& got, const sp_dag& want) {
+  EXPECT_EQ(got.dist, want.dist);
+  EXPECT_EQ(got.sigma, want.sigma);
+  EXPECT_EQ(got.order, want.order);
+  EXPECT_TRUE(got.pred == want.pred);
+  ASSERT_EQ(got.pred.size(), want.pred.size());
+  for (node_id v = 0; v < want.pred.size(); ++v) {
+    const std::vector<edge_id> a(got.pred[v].begin(), got.pred[v].end());
+    const std::vector<edge_id> b(want.pred[v].begin(), want.pred[v].end());
+    EXPECT_EQ(a, b) << "v=" << v;
+  }
+}
+
+TEST(SpDag, ReusedBuffersEqualFreshSweeps) {
+  // One warm sp_dag is re-filled across sources and across graphs whose
+  // node count grows and shrinks, by both the digraph and the CSR overload;
+  // every fill must equal a fresh by-value sweep field for field.
+  rng gen(77);
+  sp_dag warm;
+  for (const std::size_t n : {40u, 9u, 120u, 2u, 1u, 60u, 240u, 5u}) {
+    digraph g = erdos_renyi(n, n > 2 ? 3.0 / static_cast<double>(n) : 0.9,
+                            gen);
+    if (n >= 2) g.add_edge(0, 1);  // one parallel edge multiplies paths
+    for (edge_id e = 0; e < g.edge_slots(); ++e)
+      if (gen.bernoulli(0.1)) g.remove_edge(e);
+    const csr_graph c = freeze(g);
+    for (node_id s = 0; s < n; ++s) {
+      const sp_dag fresh = shortest_path_dag(g, s);
+      shortest_path_dag(g, s, warm);
+      expect_same_dag(warm, fresh);
+      const std::vector<std::vector<edge_id>> want = expected_preds(g, fresh);
+      for (node_id v = 0; v < n; ++v) {
+        EXPECT_EQ(std::vector<edge_id>(fresh.pred[v].begin(),
+                                       fresh.pred[v].end()),
+                  want[v])
+            << "n=" << n << " s=" << s << " v=" << v;
+      }
+
+      const sp_dag fresh_csr = shortest_path_dag(c, s);
+      shortest_path_dag(c, s, warm);
+      expect_same_dag(warm, fresh_csr);
+    }
+  }
 }
 
 TEST(AllPairs, MatchesSingleSource) {
