@@ -11,7 +11,7 @@
 //   [{"n":..., "channels":..., "topology":"ws", "retry":"exclude",
 //     "gossip_refresh":1, "payments":..., "delivered":...,
 //     "success_rate":..., "events":..., "host_hw_threads":...,
-//     "obs":{"traffic/attempt_payment":..., ...},
+//     "obs":{"traffic/attempt_payment":..., ..., "traffic/route_scan":...},
 //     "wall_ms":..., "payments_per_sec":...}, ...]
 //
 // The "obs" object mirrors the run's deterministic event ledger under the
@@ -118,7 +118,8 @@ void write_json(const std::string& path,
        << ", \"traffic/timeout_payment\": " << r.metrics.timed_out
        << ", \"traffic/retry_payment\": " << r.metrics.retries
        << ", \"traffic/fail_lock\": " << r.metrics.lock_failures
-       << ", \"traffic/process_event\": " << r.metrics.events << "}"
+       << ", \"traffic/process_event\": " << r.metrics.events
+       << ", \"traffic/route_scan\": " << r.metrics.route_scans << "}"
        << ", \"wall_ms\": " << r.wall_ms
        << ", \"payments_per_sec\": " << per_sec << "}"
        << (i + 1 < records.size() ? "," : "") << "\n";

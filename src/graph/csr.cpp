@@ -1,7 +1,6 @@
 #include "graph/csr.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "obs/registry.h"
 #include "obs/span.h"
@@ -78,17 +77,17 @@ digraph thaw(const csr_graph& c) {
 std::vector<std::int32_t> bfs_distances(const csr_graph& c, node_id src) {
   LCG_EXPECTS(c.has_node(src));
   std::vector<std::int32_t> dist(c.node_count(), unreachable);
-  std::queue<node_id> frontier;
+  std::vector<node_id> frontier;  // FIFO with a read head, as the digraph's
+  frontier.reserve(c.node_count());
   dist[src] = 0;
-  frontier.push(src);
-  while (!frontier.empty()) {
-    const node_id v = frontier.front();
-    frontier.pop();
+  frontier.push_back(src);
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const node_id v = frontier[head];
     for (csr_graph::packed_id k = c.row_begin(v); k < c.row_end(v); ++k) {
       const node_id w = c.edge_dst(k);
       if (dist[w] == unreachable) {
         dist[w] = dist[v] + 1;
-        frontier.push(w);
+        frontier.push_back(w);
       }
     }
   }

@@ -1,23 +1,24 @@
 #include "graph/traversal.h"
 
 #include <algorithm>
-#include <queue>
 
 namespace lcg::graph {
 
 std::vector<std::int32_t> bfs_distances(const digraph& g, node_id src) {
   LCG_EXPECTS(g.has_node(src));
   std::vector<std::int32_t> dist(g.node_count(), unreachable);
-  std::queue<node_id> frontier;
+  // Each node enters the FIFO once, so a reserved vector with a read head
+  // replaces std::queue's chunked deque.
+  std::vector<node_id> frontier;
+  frontier.reserve(g.node_count());
   dist[src] = 0;
-  frontier.push(src);
-  while (!frontier.empty()) {
-    const node_id v = frontier.front();
-    frontier.pop();
+  frontier.push_back(src);
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const node_id v = frontier[head];
     g.for_each_out(v, [&](edge_id, const edge& e) {
       if (dist[e.dst] == unreachable) {
         dist[e.dst] = dist[v] + 1;
-        frontier.push(e.dst);
+        frontier.push_back(e.dst);
       }
     });
   }

@@ -32,6 +32,7 @@ struct traffic_obs {
   obs::counter& refresh_gossip;
   obs::counter& reset_balance;
   obs::counter& reject_infeasible;
+  obs::counter& route_scan;
   obs::gauge& inflight;
   obs::histogram& latency;
   obs::histogram& route_length;
@@ -49,6 +50,7 @@ struct traffic_obs {
         reg.get_counter("traffic/refresh_gossip"),
         reg.get_counter("traffic/reset_balance"),
         reg.get_counter("traffic/reject_infeasible"),
+        reg.get_counter("traffic/route_scan"),
         reg.get_gauge("traffic/inflight_payments"),
         reg.get_histogram("traffic/payment_latency",
                           {1e-3, 2e-3, 5e-3, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5,
@@ -102,6 +104,7 @@ class traffic_run {
     }
 
     metrics_.balance_resets = reset_.resets_applied();
+    metrics_.route_scans = view_.route_scans();
     flush_obs();
     return metrics_;
   }
@@ -123,6 +126,7 @@ class traffic_run {
     t.refresh_gossip.add(metrics_.gossip_refreshes);
     t.reset_balance.add(metrics_.balance_resets);
     t.reject_infeasible.add(metrics_.infeasible_input);
+    t.route_scan.add(metrics_.route_scans);
   }
 
   payment_state& at(std::uint32_t slot) { return payments_[slot]; }
@@ -191,8 +195,7 @@ class traffic_run {
 
   void start_attempt(double time, std::uint32_t slot) {
     payment_state& p = at(slot);
-    p.route = find_route(net_, view_, p.sender, p.receiver, p.amount,
-                         p.excluded);
+    find_route(view_, p.sender, p.receiver, p.amount, p.excluded, p.route);
     p.locked_hops = 0;
     if (p.route.empty()) {
       fail_attempt(time, slot, fail_reason::no_route);

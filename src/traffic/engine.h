@@ -76,6 +76,7 @@ struct traffic_metrics {
   std::uint64_t gossip_refreshes = 0;
   std::uint64_t balance_resets = 0;
   std::uint64_t max_inflight_seen = 0;
+  std::uint64_t route_scans = 0;       ///< edges examined by route search
   double volume_attempted = 0.0;
   double volume_delivered = 0.0;
   double horizon = 0.0;
