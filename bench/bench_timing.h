@@ -1,10 +1,10 @@
-// Shared best-of-R timing loop for the bench_* binaries.
+// Shared best-of-R timing loop for bench_betweenness, bench_arena and
+// bench_payments.
 //
-// Every bench used to carry its own stopwatch loop; they now all run
-// through best_of_ms, built on obs::scoped_timer so the benches and the
-// runtime instrumentation (src/obs/) time against the same steady clock.
-// Best-of (not mean-of) because the minimum over repeats is the standard
-// low-noise estimator for a deterministic workload.
+// best_of_ms is built on obs::scoped_timer, so the benches and the runtime
+// instrumentation (src/obs/) time against the same steady clock. Best-of
+// (not mean-of) because the minimum over repeats is the standard low-noise
+// estimator for a deterministic workload.
 
 #ifndef LCG_BENCH_TIMING_H
 #define LCG_BENCH_TIMING_H

@@ -23,9 +23,9 @@
 #include "core/utility.h"
 #include "graph/generators.h"
 #include "graph/properties.h"
+#include "obs/span.h"
 #include "util/rng.h"
 #include "util/table.h"
-#include "util/timer.h"
 
 int main(int argc, char** argv) {
   using namespace lcg;
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   };
 
   {
-    stopwatch sw;
+    obs::scoped_timer sw;
     const double lock = 1.0;
     const core::greedy_result r = core::greedy_fixed_lock(
         objective, candidates, lock,
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     report("Alg 1 greedy (lock 1)", r.chosen, sw.elapsed_ms());
   }
   {
-    stopwatch sw;
+    obs::scoped_timer sw;
     const double lock = 2.0;
     const core::greedy_result r = core::greedy_fixed_lock(
         objective, candidates, lock,
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
     report("Alg 1 greedy (lock 2)", r.chosen, sw.elapsed_ms());
   }
   {
-    stopwatch sw;
+    obs::scoped_timer sw;
     core::discrete_search_options opts;
     opts.unit = 2.0;
     opts.max_divisions = 200000;
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     report("Alg 2 discrete (m=2)", r.chosen, sw.elapsed_ms());
   }
   {
-    stopwatch sw;
+    obs::scoped_timer sw;
     core::local_search_options opts;
     opts.restarts = 2;
     const core::local_search_result r = core::continuous_local_search(
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
          "algorithm's picks: the Zipf demand concentrates traffic on them. "
          "And the algorithms optimise the paper's fixed-lambda *estimate* "
          "of revenue (Theorem 1's assumption) — the exact columns above "
-         "recompute reality, and the gap between them is quantified by the "
-         "bench_lambda_ablation experiment (E9).\n";
+         "recompute reality, and the gap between them is quantified by "
+         "`lcg_run --filter join/estimators` (E9).\n";
   return 0;
 }

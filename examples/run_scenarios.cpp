@@ -37,13 +37,13 @@
 #include <thread>
 
 #include "obs/registry.h"
+#include "obs/span.h"
 #include "obs/trace.h"
 #include "runner/executor.h"
 #include "runner/grid.h"
 #include "runner/registry.h"
 #include "runner/reporter.h"
 #include "util/format.h"
-#include "util/timer.h"
 
 namespace {
 
@@ -380,7 +380,7 @@ int main(int argc, char** argv) {
     };
   }
 
-  lcg::stopwatch timer;
+  lcg::obs::scoped_timer timer;
   const std::vector<runner::job_result> results =
       runner::run_jobs(selected_jobs, run_opt);
 

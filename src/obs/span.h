@@ -56,11 +56,13 @@ class span {
   std::chrono::steady_clock::time_point start_{};
 };
 
-/// Minimal steady-clock timer shared by instrumentation sites and the
-/// bench binaries, so everything in the repo times one way. Two modes:
+/// Minimal steady-clock timer shared by instrumentation sites, the runner
+/// and the bench binaries, so everything in the repo times one way. Two
+/// modes:
 ///
-///  - scoped_timer t;            — always armed; read elapsed_ms()
-///    explicitly (the bench best-of-R loops use this).
+///  - scoped_timer t;            — always armed; read elapsed_seconds()
+///    or elapsed_ms() explicitly (per-job wall time, the bench best-of-R
+///    loops).
 ///  - scoped_timer t(histo);     — armed only while obs is enabled
 ///    (one relaxed load; no clock read when disabled); records its
 ///    elapsed seconds into `histo` on destruction.

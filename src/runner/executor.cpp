@@ -13,7 +13,6 @@
 #include "obs/span.h"
 #include "runner/cache.h"
 #include "runner/reporter.h"
-#include "util/timer.h"
 
 namespace lcg::runner {
 
@@ -73,7 +72,7 @@ std::vector<job_result> run_jobs(const std::vector<job>& jobs,
   pending.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (cache) {
-      stopwatch timer;
+      obs::scoped_timer timer;
       std::optional<std::vector<result_row>> rows = cache->lookup(jobs[i]);
       if (rows) {
         const job& j = jobs[i];
@@ -134,7 +133,7 @@ std::vector<job_result> run_jobs(const std::vector<job>& jobs,
       out.params = j.params;
       out.seed = j.seed;
       out.replicate = j.replicate;
-      stopwatch timer;
+      obs::scoped_timer timer;
       try {
         const scenario_context ctx(j.params, j.seed, thread_budget);
         out.rows = j.sc->run(ctx);

@@ -1,10 +1,11 @@
-// Shared experiment fixtures, deduplicated out of the bench_* binaries.
+// Shared experiment fixtures.
 //
 // Every join-game experiment needs the same setup: a connected random host
 // graph, the paper's utility model on it, a candidate set, and an estimated
-// objective. `make_join_instance` builds exactly that; the scenario runner
-// and the benchmark binaries both consume it. `make_topology` names the
-// standard graph shapes the topology/simulation experiments sweep over.
+// objective. `make_join_instance` builds exactly that for the join/*
+// scenarios. `make_topology` names the standard graph shapes the
+// topology/simulation scenarios sweep over and the bench binaries start
+// from.
 
 #ifndef LCG_RUNNER_FIXTURES_H
 #define LCG_RUNNER_FIXTURES_H

@@ -16,6 +16,7 @@
 #ifndef LCG_RUNNER_SCENARIO_H
 #define LCG_RUNNER_SCENARIO_H
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "util/error.h"
+#include "util/format.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -91,8 +93,17 @@ class scenario_context {
     const auto it = params_->find(key);
     if (it == params_->end()) return fallback;
     if (const auto* i = std::get_if<long long>(&it->second)) return *i;
-    if (const auto* d = std::get_if<double>(&it->second))
-      return static_cast<long long>(*d);
+    if (const auto* d = std::get_if<double>(&it->second)) {
+      // Only a finite, integral double inside long long's range converts
+      // exactly; anything else would truncate silently or be an
+      // out-of-range cast (undefined behaviour).
+      constexpr double limit = 9223372036854775808.0;  // 2^63
+      if (std::isfinite(*d) && std::trunc(*d) == *d && *d >= -limit &&
+          *d < limit)
+        return static_cast<long long>(*d);
+      throw precondition_error("parameter '" + key + "' = " +
+                               render_double(*d) + " is not an integer");
+    }
     throw precondition_error("parameter '" + key + "' is not numeric");
   }
 

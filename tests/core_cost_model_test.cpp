@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/brute_force.h"
 #include "core/utility.h"
 #include "graph/generators.h"
@@ -112,6 +114,18 @@ TEST(CostModels, HarsherCostsShrinkOptimalStrategies) {
   for (const action& a : constrained.best) harsh_locked += a.lock;
   EXPECT_LE(harsh_locked, mild_locked);
   EXPECT_LE(constrained.value, mild.value + 1e-9);
+
+  // At 5% per period each extra period makes locked capital dearer, so the
+  // optimum's utility falls with the lifetime T.
+  double previous = std::numeric_limits<double>::infinity();
+  for (const double lifetime : {1.0, 5.0, 20.0, 80.0}) {
+    const interest_rate_cost discounted(0.5, 0.05, lifetime);
+    model.set_cost_model(&discounted);
+    const double value = optimum().value;
+    EXPECT_LT(value, previous) << "T=" << lifetime;
+    previous = value;
+  }
+  model.set_cost_model(nullptr);
 }
 
 }  // namespace

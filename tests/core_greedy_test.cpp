@@ -88,6 +88,9 @@ TEST(Greedy, CelfMatchesPlainGreedy) {
           << "seed " << seed << " step " << i;
     // CELF must not cost more evaluations than plain greedy.
     EXPECT_LE(lazy.evaluations, plain.evaluations);
+    // Theorem 4's O(M * n) bound: the literal greedy evaluates every unused
+    // candidate once per step, 11 + 10 + 9 + 8 + 7 for n = 11, M = 5.
+    EXPECT_EQ(plain.evaluations, 45u);
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "runner/grid.h"
 
 namespace lcg::runner {
@@ -208,6 +211,28 @@ TEST(Context, TypedParameterAccess) {
   EXPECT_EQ(ctx.get_int("missing", 42), 42);
   EXPECT_THROW(ctx.get_int("name", 0), precondition_error);
   EXPECT_EQ(ctx.seed(), 7u);
+}
+
+TEST(Context, IntegerReadOfDoubleMustBeExact) {
+  param_map params;
+  params["whole"] = value(6.0);
+  params["half"] = value(6.5);
+  params["huge"] = value(1e30);
+  params["neg_huge"] = value(-1e30);
+  params["nan"] = value(std::nan(""));
+  params["inf"] = value(std::numeric_limits<double>::infinity());
+  const scenario_context ctx(params, 1);
+  EXPECT_EQ(ctx.get_int("whole", 0), 6);
+  for (const char* key : {"half", "huge", "neg_huge", "nan", "inf"}) {
+    try {
+      (void)ctx.get_int(key, 0);
+      ADD_FAILURE() << key << " read as an integer";
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/greedy.h"
+#include "core/rate_estimator.h"
 #include "graph/generators.h"
 #include "pcn/rates.h"
 
@@ -94,6 +98,49 @@ TEST(Estimation, EstimatedModelPredictsEdgeRates) {
     EXPECT_NEAR(est_rates.edge_rate[e], true_rates.edge_rate[e],
                 0.1 * true_rates.edge_rate[e] + 0.05)
         << "edge " << e;
+  }
+}
+
+TEST(Estimation, ModerateLogsRecoverTheJoinDecision) {
+  // Greedy joining (Algorithm 1, M = 4, lock 1) on a 30-node BA host: the
+  // peers picked from a smoothed demand estimate equal the peers picked
+  // from the true demand once the log is moderately long.
+  rng gen(4);
+  const graph::digraph host = graph::barabasi_albert(30, 2, gen);
+  core::model_params params;
+  params.onchain_cost = 1.0;
+  params.opportunity_rate = 0.02;
+  params.fee_avg = 3.0;
+  params.fee_avg_tx = 0.5;
+  params.user_tx_rate = 1.0;
+  const core::utility_model truth =
+      core::make_zipf_model(host, 1.0, 30.0, params);
+  std::vector<graph::node_id> candidates(host.node_count());
+  for (graph::node_id v = 0; v < host.node_count(); ++v) candidates[v] = v;
+
+  const auto greedy_peers = [&](const core::utility_model& model) {
+    core::full_connection_rate_estimator est(model, candidates);
+    const core::estimated_objective obj(model, est);
+    std::vector<graph::node_id> peers;
+    for (const core::action& a :
+         core::greedy_fixed_lock(obj, candidates, 1.0, 4).chosen)
+      peers.push_back(a.peer);
+    std::sort(peers.begin(), peers.end());
+    return peers;
+  };
+  const std::vector<graph::node_id> truth_peers = greedy_peers(truth);
+  ASSERT_EQ(truth_peers.size(), 4u);
+
+  const dist::fixed_tx_size sizes(1.0);
+  for (const double horizon : {500.0, 2500.0}) {
+    workload_generator wl(truth.demand(), sizes, 23);
+    const auto log = wl.generate(horizon);
+    const demand_estimate est = estimate_demand_smoothed(
+        log, host.node_count(), horizon, /*alpha=*/0.1);
+    const core::utility_model estimated(host, to_demand_model(est, host),
+                                        truth.newcomer_probabilities(),
+                                        params);
+    EXPECT_EQ(greedy_peers(estimated), truth_peers) << "horizon " << horizon;
   }
 }
 

@@ -24,10 +24,19 @@ TEST(StarClosedForm, ReportStructure) {
 }
 
 TEST(StarClosedForm, LargeSAlwaysEquilibrium) {
-  // Theorem 7: 1/2^s negligible => star is a NE (leaves >= 4).
+  // Theorem 7: 1/2^s negligible => star is a NE (leaves >= 4), and every
+  // leaf deviation family, by the paper's formula and exactly, falls below
+  // the default strategy.
   game_params p{2.0, 3.0, 0.05, /*s=*/25.0};
   for (const std::size_t leaves : {4u, 5u, 8u, 12u}) {
     EXPECT_TRUE(star_is_ne_closed_form(leaves, p)) << leaves;
+    const auto families = star_leaf_deviation_utilities(leaves, p);
+    for (std::size_t i = 1; i < families.size(); ++i) {
+      EXPECT_LT(families[i].exact_utility, families[0].exact_utility)
+          << leaves << " " << families[i].name;
+      EXPECT_LT(families[i].paper_utility(), families[0].paper_utility())
+          << leaves << " " << families[i].name;
+    }
   }
 }
 
