@@ -61,17 +61,10 @@ local_search_result continuous_local_search(
   result.objective_value = neg_inf;
   const std::uint64_t evals_before = objective.evaluations();
   rng gen(options.seed);
-
-  const auto grid_locks = [&](double available) {
-    std::vector<double> locks;
-    if (available < 0.0) return locks;
-    locks.reserve(options.grid_points);
-    for (std::size_t i = 0; i <= options.grid_points; ++i) {
-      locks.push_back(available * static_cast<double>(i) /
-                      static_cast<double>(options.grid_points));
-    }
-    return locks;
-  };
+  // Lock grid of the add moves: grid_points + 1 evenly spaced values in
+  // [0, available], rebuilt once per round.
+  std::vector<double> add_locks;
+  add_locks.reserve(options.grid_points + 1);
 
   const auto run_from = [&](strategy start) {
     search_state state;
@@ -87,12 +80,17 @@ local_search_result continuous_local_search(
       // Add moves: any unused candidate, any grid lock within budget.
       const double available = budget - used - params.onchain_cost;
       if (available >= 0.0) {
+        add_locks.clear();
+        for (std::size_t i = 0; i <= options.grid_points; ++i) {
+          add_locks.push_back(available * static_cast<double>(i) /
+                              static_cast<double>(options.grid_points));
+        }
         for (const graph::node_id v : candidates) {
           const bool already = std::any_of(
               state.current.begin(), state.current.end(),
               [v](const action& a) { return a.peer == v; });
           if (already) continue;
-          for (const double lock : grid_locks(available)) {
+          for (const double lock : add_locks) {
             strategy trial = state.current;
             trial.push_back(action{v, lock});
             const double value = objective.benefit(trial);

@@ -1,8 +1,10 @@
 #include "core/rate_estimator.h"
 
 #include <algorithm>
+#include <string>
 
 #include "graph/betweenness.h"
+#include "graph/csr.h"
 #include "graph/properties.h"
 
 namespace lcg::core {
@@ -47,11 +49,18 @@ full_connection_rate_estimator::full_connection_rate_estimator(
   std::vector<graph::edge_id> in_edge(model.host().node_count(),
                                       graph::invalid_edge);
   for (const graph::node_id v : candidates) {
+    LCG_EXPECTS(model.host().has_node(v));
+    // A second edge pair would split v's through-traffic and leave only
+    // the last pair's share readable.
+    if (out_edge[v] != graph::invalid_edge) {
+      throw precondition_error("full_connection_rate_estimator: candidate " +
+                               std::to_string(v) + " is listed twice");
+    }
     out_edge[v] = g.add_edge(u, v, 1.0);
     in_edge[v] = g.add_edge(v, u, 1.0);
   }
   const graph::betweenness_result b = graph::weighted_betweenness(
-      g, weights_excluding(model.demand(), u), options);
+      graph::freeze(g), weights_excluding(model.demand(), u), options);
   rate_.assign(model.host().node_count(), 0.0);
   for (graph::node_id v = 0; v < rate_.size(); ++v) {
     if (in_edge[v] != graph::invalid_edge)
@@ -103,7 +112,7 @@ double anchor_pair_rate_estimator::do_estimate(graph::node_id v, double lock) {
       g.add_edge(u, other, 1.0);
       g.add_edge(other, u, 1.0);
       const graph::betweenness_result b = graph::weighted_betweenness(
-          g, weights_excluding(model_.demand(), u), options_);
+          graph::freeze(g), weights_excluding(model_.demand(), u), options_);
       rate = (b.edge[vu] + b.edge[uv]) / 2.0;
     }
     cache_[v] = rate;

@@ -54,7 +54,9 @@ class rate_estimator {
 
 /// See file comment. `sizes` may be null (no capacity discount). `options`
 /// selects the betweenness backend for the single construction-time sweep
-/// (graph/betweenness.h); it never affects calls() accounting.
+/// (graph/betweenness.h); it never affects calls() accounting. Every
+/// candidate must be a host node and appear once; a repeated id throws
+/// precondition_error naming it.
 class full_connection_rate_estimator final : public rate_estimator {
  public:
   full_connection_rate_estimator(

@@ -17,7 +17,9 @@
 #ifndef LCG_CORE_UTILITY_H
 #define LCG_CORE_UTILITY_H
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/cost_model.h"
@@ -59,6 +61,16 @@ class utility_model {
   /// positive transaction probability is unreachable (this makes the
   /// utility of a disconnected strategy -infinity, as the paper defines).
   [[nodiscard]] double expected_fees(const strategy& s) const;
+
+  /// The fee formula behind expected_fees: N_u * f^T_avg * sum_v p(v) *
+  /// hops(v), with hops = d(u, v) under fee_distance_mode::path_length and
+  /// max(0, d - 1) under intermediaries. `dist_from_u[v]` is d(u, v) for
+  /// every host node v (extra entries are ignored); the sum runs in node
+  /// order and returns +infinity at the first receiver with p(v) > 0 that
+  /// is `graph::unreachable`. estimated_objective feeds it distances from
+  /// cached rows, so both paths produce the same bits.
+  [[nodiscard]] double fees_from_distances(
+      std::span<const std::int32_t> dist_from_u) const;
 
   /// sum of L_u(v, l) over the strategy (via the installed cost model;
   /// default: the linear II-C model from `params`).

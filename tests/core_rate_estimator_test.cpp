@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/utility.h"
@@ -61,6 +62,26 @@ TEST(RateEstimator, FullConnectionGoldenOnStar) {
   EXPECT_NEAR(est.estimate(1, 1.0), 1.0, kTol);
   EXPECT_NEAR(est.estimate(2, 1.0), 1.0, kTol);
   EXPECT_NEAR(est.estimate(3, 1.0), 1.0, kTol);
+}
+
+// A repeated candidate would add a second parallel edge pair, split the
+// candidate's through-traffic between the pairs and read only the last one.
+
+TEST(RateEstimator, FullConnectionRejectsRepeatedCandidate) {
+  const utility_model model = make_uniform_model(graph::star_graph(5));
+  const std::vector<graph::node_id> repeated{3, 1, 4, 3};
+  try {
+    full_connection_rate_estimator est(model, repeated);
+    ADD_FAILURE() << "a repeated candidate must throw";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("candidate 3 "), std::string::npos)
+        << e.what();
+  }
+  const std::vector<graph::node_id> once{3, 1, 4};
+  EXPECT_NO_THROW(full_connection_rate_estimator(model, once));
+  const std::vector<graph::node_id> outside{3, 6};
+  EXPECT_THROW(full_connection_rate_estimator(model, outside),
+               precondition_error);
 }
 
 // anchor_pair on the star attaches u to (v, centre): u's channels only ever
