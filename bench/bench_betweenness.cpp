@@ -21,12 +21,10 @@
 // under the runtime counter name (src/obs/), so a trace snapshot and a
 // committed bench record are comparable key for key.
 //
-// Every configuration runs PAIRED on both graph representations — the
-// mutable adjacency-list digraph ("adjacency") and the frozen flat CSR view
-// ("csr", graph/csr.h) — so the flat-array win is tracked per backend.
-// Exactness is enforced, not just reported: any parallel result that is not
-// bit-identical to serial, and any csr result that is not bit-identical to
-// its adjacency twin, aborts with exit code 1.
+// Each configuration is timed once, on the host's frozen CSR view
+// (graph/csr.h) — the only representation the engine sweeps — so "graph"
+// is always "csr". Exactness is enforced, not just reported: any parallel
+// result that is not bit-identical to serial aborts with exit code 1.
 //
 //   bench_betweenness [--smoke] [--json PATH] [--sizes n1,n2,...]
 //                     [--threads t1,t2,...] [--repeat R]
@@ -57,7 +55,6 @@ struct bench_record {
   std::size_t n = 0;
   std::size_t edges = 0;
   std::string backend;
-  std::string graph = "adjacency";  // "adjacency" | "csr"
   std::size_t threads = 1;
   std::size_t pivots = 0;
   /// Single-source sweeps one run performs — deterministic (n for the
@@ -134,8 +131,9 @@ void write_json(const std::string& path,
   for (std::size_t i = 0; i < records.size(); ++i) {
     const bench_record& r = records[i];
     os << "  {\"n\": " << r.n << ", \"edges\": " << r.edges
-       << ", \"backend\": \"" << r.backend << "\", \"graph\": \"" << r.graph
-       << "\", \"threads\": " << r.threads << ", \"pivots\": " << r.pivots
+       << ", \"backend\": \"" << r.backend
+       << "\", \"graph\": \"csr\", \"threads\": " << r.threads
+       << ", \"pivots\": " << r.pivots
        << ", \"host_hw_threads\": " << hardware
        << ", \"obs\": {\"graph/sweep_source_" << r.backend
        << "\": " << r.swept_sources << "}"
@@ -149,7 +147,7 @@ void write_json(const std::string& path,
 
 int run(const bench_config& config) {
   std::vector<bench_record> records;
-  table t({"n", "edges", "backend", "graph", "threads", "pivots", "wall ms",
+  table t({"n", "edges", "backend", "threads", "pivots", "wall ms",
            "speedup", "max rel err"});
   bool exactness_ok = true;
 
@@ -159,72 +157,49 @@ int run(const bench_config& config) {
     const graph::csr_graph frozen = graph::freeze(g);
     const auto w = [](graph::node_id, graph::node_id) { return 1.0; };
 
-    const auto record = [&](const char* backend, const char* graph_kind,
-                            std::size_t threads, std::size_t pivots,
-                            double wall, double serial_wall, double err) {
+    // Times one configuration on the frozen view and records it. Serial
+    // (serial_wall == 0) is the baseline every speedup is measured against.
+    const auto measure = [&](const char* backend, std::size_t threads,
+                             std::size_t pivots,
+                             const graph::betweenness_options& options,
+                             double serial_wall,
+                             const graph::betweenness_result* exact) {
+      graph::betweenness_result got;
+      const double wall = bench::best_of_ms(
+          config.repeat,
+          [&] { return graph::weighted_betweenness(frozen, w, options); },
+          &got);
       bench_record r;
       r.n = n;
       r.edges = g.edge_count();
       r.backend = backend;
-      r.graph = graph_kind;
       r.threads = threads;
       r.pivots = pivots;
       // Exact backends sweep every source; sampled sweeps its pivots.
       r.swept_sources = pivots > 0 ? pivots : n;
       r.wall_ms = wall;
-      r.speedup_vs_serial = wall > 0.0 ? serial_wall / wall : 0.0;
-      r.max_rel_error = err;
+      const double base = serial_wall > 0.0 ? serial_wall : wall;
+      r.speedup_vs_serial = wall > 0.0 ? base / wall : 0.0;
+      r.max_rel_error = exact ? max_rel_error(*exact, got) : 0.0;
       records.push_back(r);
       t.add_row({static_cast<long long>(n),
                  static_cast<long long>(g.edge_count()), std::string(backend),
-                 std::string(graph_kind), static_cast<long long>(threads),
+                 static_cast<long long>(threads),
                  static_cast<long long>(pivots), wall, r.speedup_vs_serial,
-                 err});
+                 r.max_rel_error});
+      return got;
     };
 
-    // Every configuration runs paired: adjacency first (the baseline every
-    // speedup is measured against is ADJACENCY serial), then the frozen
-    // view, which must reproduce the adjacency result bitwise.
-    const auto paired = [&](const char* backend, std::size_t threads,
-                            std::size_t pivots,
-                            const graph::betweenness_options& options,
-                            double serial_wall,
-                            const graph::betweenness_result* exact)
-        -> std::pair<graph::betweenness_result, double> {
-      graph::betweenness_result adj;
-      const double adj_ms = bench::best_of_ms(
-          config.repeat,
-          [&] { return graph::weighted_betweenness(g, w, options); }, &adj);
-      graph::betweenness_result csr;
-      const double csr_ms = bench::best_of_ms(
-          config.repeat,
-          [&] { return graph::weighted_betweenness(frozen, w, options); },
-          &csr);
-      if (!bit_identical(adj, csr)) {
-        std::cerr << "bench_betweenness: csr run (backend=" << backend
-                  << ", threads=" << threads << ", pivots=" << pivots
-                  << ", n=" << n
-                  << ") is NOT bit-identical to its adjacency twin\n";
-        exactness_ok = false;
-      }
-      const double base = serial_wall > 0.0 ? serial_wall : adj_ms;
-      const double err_adj = exact ? max_rel_error(*exact, adj) : 0.0;
-      record(backend, "adjacency", threads, pivots, adj_ms, base, err_adj);
-      record(backend, "csr", threads, pivots, csr_ms, base, err_adj);
-      return {std::move(adj), adj_ms};
-    };
-
-    graph::betweenness_options serial_options;
-    auto [serial, serial_ms] =
-        paired("serial", 1, 0, serial_options, 0.0, nullptr);
+    const graph::betweenness_result serial =
+        measure("serial", 1, 0, graph::betweenness_options{}, 0.0, nullptr);
+    const double serial_ms = records.back().wall_ms;
 
     for (const std::size_t threads : config.threads) {
       graph::betweenness_options options;
       options.backend = graph::betweenness_backend::parallel;
       options.threads = threads;
-      const auto [parallel, parallel_ms] =
-          paired("parallel", threads, 0, options, serial_ms, &serial);
-      if (!bit_identical(serial, parallel)) {
+      if (!bit_identical(serial, measure("parallel", threads, 0, options,
+                                         serial_ms, &serial))) {
         std::cerr << "bench_betweenness: parallel backend (threads="
                   << threads << ", n=" << n
                   << ") is NOT bit-identical to serial\n";
@@ -239,13 +214,12 @@ int run(const bench_config& config) {
       options.threads = 1;  // isolate sampling speedup from threading
       options.sample_pivots = pivots;
       options.rng_seed = 0x5eed0000 + n;
-      paired("sampled", 1, pivots, options, serial_ms, &serial);
+      measure("sampled", 1, pivots, options, serial_ms, &serial);
     }
   }
 
   std::cout << "E16 / betweenness backend comparison (BA hosts, attach 2; "
-            << "parallel must be bit-identical to serial, csr to "
-            << "adjacency)\n";
+            << "parallel must be bit-identical to serial)\n";
   t.print(std::cout);
   write_json(config.json_path, records);
   std::cout << records.size() << " record(s) -> " << config.json_path << "\n";

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 
 #include "graph/betweenness.h"
-#include "obs/registry.h"
+#include "graph/csr.h"
+#include "topology/game.h"
 #include "util/error.h"
 
 namespace lcg::arena {
@@ -14,30 +16,6 @@ namespace lcg::arena {
 namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
-
-/// Obs mirrors of the sweep_stats ledger (provider.h): every `++stats.X`
-/// below pairs with one counter add, so the per-run ledger (the
-/// run_result.sweeps API) and the process-wide registry never diverge.
-struct arena_counters {
-  obs::counter& forest;
-  obs::counter& resweep;
-  obs::counter& accumulate;
-  obs::counter& support_bfs;
-  obs::counter& prune;
-  obs::counter& truncate;
-  static const arena_counters& get() {
-    auto& reg = obs::registry::global();
-    static const arena_counters c{
-        reg.get_counter("arena/build_forest"),
-        reg.get_counter("arena/resweep_source"),
-        reg.get_counter("arena/accumulate_source"),
-        reg.get_counter("arena/run_support_bfs"),
-        reg.get_counter("arena/prune_candidate"),
-        reg.get_counter("arena/truncate_merge"),
-    };
-    return c;
-  }
-};
 constexpr std::int64_t far = std::numeric_limits<std::int32_t>::max();
 
 /// Hop distance as an arithmetic-friendly value (unreachable -> "far",
@@ -46,31 +24,19 @@ std::int64_t hops(const std::vector<std::int32_t>& dist, graph::node_id v) {
   return dist[v] == graph::unreachable ? far : dist[v];
 }
 
-/// The active-edge list as an exact equality key: slot order is part of the
-/// key (it pins traversal order, which the bitwise contract depends on).
-/// Candidate slots rest inactive, so an evaluator's work graph signs
-/// identically to the base graph it was built from.
-std::vector<std::uint64_t> edge_signature(const graph::digraph& g) {
-  std::vector<std::uint64_t> sig;
-  sig.reserve(g.edge_count());
-  for (graph::node_id v = 0; v < g.node_count(); ++v) {
-    g.for_each_out(v, [&](graph::edge_id, const graph::edge& e) {
-      sig.push_back((static_cast<std::uint64_t>(v) << 32) | e.dst);
-    });
-  }
-  return sig;
-}
-
 }  // namespace
 
 /// Provider-wide cache of base-graph SSSP DAGs. A DAG from source s depends
 /// only on the graph — not on which node is being evaluated — so consecutive
 /// activations over an unchanged graph (most of a converging round) share
 /// forests across players, even though their pivot plans differ. One graph
-/// is cached at a time; the exact edge-list signature makes a stale hit
-/// impossible (no hashing of the graph itself).
+/// is cached at a time, as its frozen view; the view's rows()/cols() are
+/// the exact active adjacency in traversal order, so comparing them makes a
+/// stale hit impossible (no hashing of the graph itself). Candidate slots
+/// rest inactive, so an evaluator's work graph freezes to the same arrays
+/// as the base graph it was built from.
 struct base_dag_cache {
-  std::vector<std::uint64_t> signature;
+  graph::csr_graph view;  // DAG pred lists hold packed ids of this view
   std::unordered_map<graph::node_id, graph::sp_dag> dag;
 };
 
@@ -123,10 +89,11 @@ candidate_evaluator::candidate_evaluator(
         work_.node_count(), provider_.backend_for(work_.node_count()), u_);
     std::shared_ptr<base_dag_cache>& cache = provider_.mutable_dag_cache();
     if (!cache) cache = std::make_shared<base_dag_cache>();
-    std::vector<std::uint64_t> sig = edge_signature(work_);
-    if (sig != cache->signature) {
+    graph::csr_graph view = graph::freeze(work_);
+    if (view.rows() != cache->view.rows() ||
+        view.cols() != cache->view.cols()) {
       cache->dag.clear();
-      cache->signature = std::move(sig);
+      cache->view = std::move(view);
     }
     session_->cache = cache;
     session_->dag.assign(session_->plan.sources.size(), nullptr);
@@ -144,9 +111,10 @@ const graph::sp_dag& candidate_evaluator::base_dag(std::size_t i) {
     const graph::node_id s = ses.plan.sources[i];
     auto it = ses.cache->dag.find(s);
     if (it == ses.cache->dag.end()) {
-      it = ses.cache->dag.emplace(s, graph::shortest_path_dag(work_, s)).first;
+      it = ses.cache->dag
+               .emplace(s, graph::shortest_path_dag(ses.cache->view, s))
+               .first;
       ++provider_.mutable_stats().forest;
-      arena_counters::get().forest.add();
     }
     ses.dag[i] = &it->second;
   }
@@ -189,8 +157,8 @@ double candidate_evaluator::base_value() {
 
   const std::vector<std::int32_t> dist_u = graph::bfs_distances(work_, u_);
   ++stats.support_bfs;
-  arena_counters::get().support_bfs.add();
-  const double fees = fees_of(rows.row(u_), dist_u, u_, provider_.a_of(u_));
+  const double fees =
+      topology::fees_of(rows.row(u_), dist_u, u_, provider_.a_of(u_));
   const double cost = provider_.l_of(u_) * p.cost_share *
                       static_cast<double>(work_.out_degree(u_));
 
@@ -198,11 +166,10 @@ double candidate_evaluator::base_value() {
   for (std::size_t i = 0; i < ses.plan.sources.size(); ++i) {
     const graph::node_id s = ses.plan.sources[i];
     graph::source_dependencies(
-        work_, base_dag(i), s,
+        ses.cache->view, base_dag(i), s,
         [&rows](graph::node_id a, graph::node_id b) { return rows.row(a)[b]; },
         ses.delta);
     ++stats.accumulations;
-    arena_counters::get().accumulate.add();
     acc += ses.plan.scale * ses.delta[u_];
   }
   const double revenue = provider_.b_of(u_) * acc;
@@ -231,9 +198,9 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
     if (i >= own_.size() && in_set) added.push_back(peers_[i]);
   }
 
-  // Base-graph cached state must be materialised BEFORE toggling: the
-  // forest (affected-source classification + reuse), and the bound cones'
-  // BFS arrays from u and every toggled peer.
+  // Base-graph cached state: the forest (affected-source classification +
+  // reuse) on the base view, and the bound cones' BFS arrays from u and
+  // every toggled peer, which must be filled BEFORE toggling work_.
   for (std::size_t i = 0; i < ses.plan.sources.size(); ++i) base_dag(i);
   const bool bounding = threshold_ > -inf;
   const auto base_dist = [&](graph::node_id v) -> const auto& {
@@ -241,7 +208,6 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
     if (it == ses.peer_dist.end()) {
       it = ses.peer_dist.emplace(v, graph::bfs_distances(work_, v)).first;
       ++stats.support_bfs;
-      arena_counters::get().support_bfs.add();
     }
     return it->second;
   };
@@ -279,8 +245,8 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
                             p.basis, provider_.active());
   const std::vector<std::int32_t> fee_dist = graph::bfs_distances(work_, u_);
   ++stats.support_bfs;
-  arena_counters::get().support_bfs.add();
-  const double fees = fees_of(rows.row(u_), fee_dist, u_, provider_.a_of(u_));
+  const double fees =
+      topology::fees_of(rows.row(u_), fee_dist, u_, provider_.a_of(u_));
   const double cost = provider_.l_of(u_) * p.cost_share *
                       static_cast<double>(work_.out_degree(u_));
   if (std::isinf(fees)) {
@@ -310,7 +276,8 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
       const graph::node_id s = ses.plan.sources[i];
       const std::vector<double>& w_row = rows.row(s);
       if (!ses.frac_ready[i]) {
-        ses.frac[i] = graph::through_fractions(work_, *ses.dag[i], u_);
+        ses.frac[i] =
+            graph::through_fractions(ses.cache->view, *ses.dag[i], u_);
         ses.frac_ready[i] = 1;
       }
       const std::vector<double>& frac = ses.frac[i];
@@ -356,7 +323,6 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
     const double margin = 1e-6 + 1e-9 * std::abs(ub_total);
     if (ub_total + margin <= threshold_) {
       ++stats.pruned;
-      arena_counters::get().prune.add();
       toggle_diff(set, /*on=*/false);
       return ub_total;
     }
@@ -364,7 +330,9 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
 
   // --- Exact phase: bitwise-identical to the full path. Sources merge in
   // ascending order with one scale-multiplied addition each, exactly the
-  // sweep engine's sequence; unaffected sources reuse the cached DAG bits.
+  // sweep engine's sequence; unaffected sources reuse the cached DAG bits on
+  // the base view. The toggled graph is frozen once, at the first affected
+  // source that survives the truncation check, and re-swept on that view.
   //
   // Early termination (DESIGN.md §8): when bounding, each source's bound
   // contribution from the phase above dominates its exact contribution, so
@@ -380,6 +348,7 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
       suffix[i] = suffix[i + 1] + ses.ub_src[i];
     }
   }
+  std::optional<graph::csr_graph> toggled;
   double acc = 0.0;
   for (std::size_t i = 0; i < ses.plan.sources.size(); ++i) {
     const graph::node_id s = ses.plan.sources[i];
@@ -392,19 +361,18 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
         const double margin = 1e-6 + 1e-9 * std::abs(potential);
         if (potential + margin <= threshold_) {
           ++stats.truncated;
-          arena_counters::get().truncate.add();
           toggle_diff(set, /*on=*/false);
           return potential;
         }
       }
-      graph::shortest_path_dag(work_, s, ses.resweep);
-      graph::source_dependencies(work_, ses.resweep, s, w, ses.delta);
+      if (!toggled) toggled = graph::freeze(work_);
+      graph::shortest_path_dag(*toggled, s, ses.resweep);
+      graph::source_dependencies(*toggled, ses.resweep, s, w, ses.delta);
       ++stats.resweeps;
-      arena_counters::get().resweep.add();
     } else {
-      graph::source_dependencies(work_, *ses.dag[i], s, w, ses.delta);
+      graph::source_dependencies(ses.cache->view, *ses.dag[i], s, w,
+                                 ses.delta);
       ++stats.accumulations;
-      arena_counters::get().accumulate.add();
     }
     acc += ses.plan.scale * ses.delta[u_];
   }

@@ -9,12 +9,16 @@
 //      built at most once per activation (the pivot set of
 //      node_betweenness_of depends only on (n, k, seed, u), never on edges,
 //      so it is identical across candidates) and cached provider-wide per
-//      base graph, so activations between applied moves share forests
-//      across players. For each candidate, only sources whose DAG the
-//      toggles can affect (graph::toggle_affects_source) are re-swept; all
-//      other sources reuse the cached DAG bits and re-run just the backward
-//      accumulation with the candidate's weight rows — bitwise equal to a
-//      fresh sweep because the DAG bits are provably unchanged.
+//      base graph, together with the graph's frozen CSR view that every
+//      sweep and accumulation runs on, so activations between applied
+//      moves share forests across players. For each candidate, only
+//      sources whose DAG the toggles can affect
+//      (graph::toggle_affects_source) are re-swept, on one freeze of the
+//      toggled graph taken at the first such source; all other sources
+//      reuse the cached DAG bits and re-run just the backward accumulation
+//      with the candidate's weight rows — bitwise equal to a fresh sweep
+//      because the DAG bits are provably unchanged. Pruned and truncated
+//      candidates never freeze.
 //   2. UPPER-BOUND PRUNING — before any sweep, a candidate's utility is
 //      bounded from above using weight-row dot products against cached
 //      through-fractions plus slack only on pairs whose shortest paths a
@@ -83,8 +87,8 @@ class candidate_evaluator {
   struct session;  // incremental-mode cached state (forest, fractions, BFS)
 
   void toggle_diff(const std::vector<graph::node_id>& set, bool on);
-  /// Base DAG for plan source i — provider-cache hit or one forest sweep.
-  /// Must only be called while the scratch graph is at its resting state.
+  /// Base DAG for plan source i — provider-cache hit or one forest sweep
+  /// on the cached frozen view of the resting graph.
   const graph::sp_dag& base_dag(std::size_t i);
 
   const utility_provider& provider_;

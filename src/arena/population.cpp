@@ -86,6 +86,25 @@ struct ledger_mirror {
   }
 };
 
+/// Adds a finished run's sweep ledger to the process-wide arena/* obs
+/// counters (the names bench_arena's records use). The incremental-only
+/// counters are created only by runs that evaluated incrementally — each
+/// such evaluation runs at least one support BFS — so a full-mode trace
+/// lists none of them.
+void publish_sweeps(const sweep_stats& st) {
+  if (!obs::enabled()) return;
+  obs::registry& reg = obs::registry::global();
+  if (st.full_sweeps > 0)
+    reg.get_counter("arena/sweep_full").add(st.full_sweeps);
+  if (st.support_bfs == 0) return;
+  reg.get_counter("arena/build_forest").add(st.forest);
+  reg.get_counter("arena/resweep_source").add(st.resweeps);
+  reg.get_counter("arena/accumulate_source").add(st.accumulations);
+  reg.get_counter("arena/run_support_bfs").add(st.support_bfs);
+  reg.get_counter("arena/prune_candidate").add(st.pruned);
+  reg.get_counter("arena/truncate_merge").add(st.truncated);
+}
+
 }  // namespace
 
 churn_schedule make_churn_schedule(std::size_t node_count, std::size_t initial,
@@ -366,6 +385,7 @@ population_result run_population(const graph::digraph& start,
 
   base.evaluations = provider.evaluations();
   base.sweeps = provider.stats();
+  publish_sweeps(base.sweeps);
   if (churning) result.active = std::move(active);
   if (mirror) mirror->finish();
   return result;

@@ -1,13 +1,11 @@
 #include "arena/provider.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "dist/zipf.h"
 #include "graph/csr.h"
 #include "graph/traversal.h"
-#include "obs/registry.h"
 #include "util/error.h"
 
 namespace lcg::arena {
@@ -16,28 +14,7 @@ namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
 
-/// Mirror of sweep_stats::full_sweeps (provider.h): the per-run ledger
-/// stays the API, the obs counter aggregates process-wide.
-obs::counter& full_sweep_counter() {
-  static obs::counter& c =
-      obs::registry::global().get_counter("arena/sweep_full");
-  return c;
-}
-
 }  // namespace
-
-double fees_of(const std::vector<double>& p_row,
-               const std::vector<std::int32_t>& dist, graph::node_id u,
-               double a) {
-  double total = 0.0;
-  for (graph::node_id v = 0; v < p_row.size(); ++v) {
-    if (v == u || p_row[v] <= 0.0) continue;
-    if (dist[v] == graph::unreachable) return inf;
-    total += static_cast<double>(std::max<std::int32_t>(dist[v] - 1, 0)) *
-             p_row[v];
-  }
-  return a * total;
-}
 
 provider_mode provider_mode_from_name(std::string_view name) {
   if (name == "full") return provider_mode::full;
@@ -106,12 +83,9 @@ topology::utility_breakdown utility_provider::evaluate(
   const graph::betweenness_options backend = backend_for(g.node_count());
   const std::uint64_t swept = swept_sources(backend, g.node_count() - 1);
   stats_.full_sweeps += swept;
-  full_sweep_counter().add(swept);
   const lazy_prob_rows rows(g, rank_masses(g.node_count()), params_.basis,
                            active_);
-  // One O(n + m) freeze buys the whole sweep flat-array locality; the frozen
-  // view is bitwise-equivalent to the adjacency path on every backend, so
-  // every pinned result upstream is unchanged.
+  // One O(n + m) freeze serves the whole sweep and the fee BFS.
   const graph::csr_graph frozen = graph::freeze(g);
   topology::utility_breakdown out;
   out.revenue =
@@ -120,8 +94,8 @@ topology::utility_breakdown utility_provider::evaluate(
           frozen, u,
           [&rows](graph::node_id s, graph::node_id t) { return rows.row(s)[t]; },
           backend);
-  out.fees =
-      fees_of(rows.row(u), graph::bfs_distances(frozen, u), u, a_of(u));
+  out.fees = topology::fees_of(rows.row(u), graph::bfs_distances(frozen, u),
+                               u, a_of(u));
   out.cost =
       l_of(u) * params_.cost_share * static_cast<double>(g.out_degree(u));
   out.total = std::isinf(out.fees) ? -inf : out.revenue - out.fees - out.cost;
@@ -133,7 +107,6 @@ std::vector<double> utility_provider::node_scores(
   const graph::betweenness_options backend = backend_for(g.node_count());
   const std::uint64_t swept = swept_sources(backend, g.node_count());
   stats_.full_sweeps += swept;
-  full_sweep_counter().add(swept);
   const lazy_prob_rows rows(g, rank_masses(g.node_count()), params_.basis,
                            active_);
   const graph::csr_graph frozen = graph::freeze(g);

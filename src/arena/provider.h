@@ -140,14 +140,6 @@ class lazy_prob_rows {
   mutable std::vector<char> ready_;
 };
 
-/// E_fees of `u` given its p_trans row and BFS distances — the same
-/// intermediary counting as topology/game.cpp (a direct channel costs no
-/// fees; any positive-probability unreachable receiver makes fees +inf).
-/// Shared by both evaluation paths for bitwise-identical fee terms.
-[[nodiscard]] double fees_of(const std::vector<double>& p_row,
-                             const std::vector<std::int32_t>& dist,
-                             graph::node_id u, double a);
-
 class utility_provider {
  public:
   utility_provider(topology::game_params params, provider_options options);

@@ -27,42 +27,12 @@ struct source_contribution {
   std::vector<std::pair<edge_id, double>> edge;
 };
 
-// The sweep engine below is templated over a uniform adjacency VIEW so the
-// mutable digraph and the frozen CSR snapshot (graph/csr.h) run the exact
-// same code — and therefore the exact same float operation sequence, which
-// is what makes frozen-view results bitwise equal to adjacency-list ones.
-// A view's edge KEY is the digraph edge id / the CSR packed index;
-// result_slot() maps a key to the per-edge accumulator slot (identity /
-// the original digraph edge id), so both paths emit one output layout.
-
-struct digraph_sweep_view {
-  const digraph& g;
-  [[nodiscard]] std::size_t node_count() const { return g.node_count(); }
-  [[nodiscard]] node_id src_of(edge_id e) const { return g.edge_at(e).src; }
-  [[nodiscard]] edge_id result_slot(edge_id e) const { return e; }
-  void dag(node_id s, sp_dag& out) const { shortest_path_dag(g, s, out); }
-};
-
-struct csr_sweep_view {
-  const csr_graph& c;
-  [[nodiscard]] std::size_t node_count() const { return c.node_count(); }
-  [[nodiscard]] node_id src_of(csr_graph::packed_id k) const {
-    return c.edge_src(k);
-  }
-  [[nodiscard]] edge_id result_slot(csr_graph::packed_id k) const {
-    return c.edge_slot(k);
-  }
-  void dag(node_id s, sp_dag& out) const { shortest_path_dag(c, s, out); }
-};
-
 /// The Brandes backward accumulation over a (possibly cached) DAG: the ONE
 /// place the per-source float operation sequence lives. Both the full-sweep
 /// engine (compute_contribution) and the public source_dependencies entry
 /// run exactly this, which is what makes DAG-reuse bitwise-equal. The DAG's
-/// pred lists hold the view's edge keys (shortest_path_dag of the matching
-/// graph representation).
-template <typename View>
-void accumulate_over_dag(const View& view, const sp_dag& dag, node_id s,
+/// pred lists hold packed edge ids of `c` (shortest_path_dag(c, s)).
+void accumulate_over_dag(const csr_graph& c, const sp_dag& dag, node_id s,
                          const pair_weight_fn& w,
                          std::vector<std::pair<edge_id, double>>* edge_out,
                          std::vector<double>& delta) {
@@ -71,12 +41,12 @@ void accumulate_over_dag(const View& view, const sp_dag& dag, node_id s,
     const node_id v = *it;
     if (v == s) continue;
     const double through = w(s, v) + delta[v];
-    for (const edge_id e : dag.pred[v]) {
-      const node_id u = view.src_of(e);
+    for (const edge_id k : dag.pred[v]) {
+      const node_id u = c.edge_src(k);
       const double contribution = dag.sigma[u] / dag.sigma[v] * through;
-      // Each edge key appears in exactly one pred list at most once, so
-      // this is the single addition its slot receives from source s.
-      if (edge_out) edge_out->emplace_back(view.result_slot(e), contribution);
+      // Each packed edge appears in at most one pred list, once, so this is
+      // the single addition its original slot receives from source s.
+      if (edge_out) edge_out->emplace_back(c.edge_slot(k), contribution);
       delta[u] += contribution;
     }
   }
@@ -87,15 +57,14 @@ void accumulate_over_dag(const View& view, const sp_dag& dag, node_id s,
 /// `want_edges` == false skips the per-edge recording (node-only queries).
 /// `dag` is the calling thread's sweep scratch, re-filled in place so a
 /// thread's sweeps after its first allocate nothing.
-template <typename View>
-void compute_contribution(const View& view, node_id s,
+void compute_contribution(const csr_graph& c, node_id s,
                           const pair_weight_fn& w, bool want_edges,
                           source_contribution& out, sp_dag& dag) {
   out.source = s;
-  out.delta.assign(view.node_count(), 0.0);
+  out.delta.assign(c.node_count(), 0.0);
   out.edge.clear();
-  view.dag(s, dag);
-  accumulate_over_dag(view, dag, s, w, want_edges ? &out.edge : nullptr,
+  shortest_path_dag(c, s, dag);
+  accumulate_over_dag(c, dag, s, w, want_edges ? &out.edge : nullptr,
                       out.delta);
 }
 
@@ -131,17 +100,16 @@ std::size_t effective_threads(const betweenness_options& options,
 /// sources are processed in bounded chunks — each chunk's contributions are
 /// computed concurrently, then merged in source order — so the result is
 /// bit-identical to the threads == 1 path.
-template <typename View>
-void run_sweeps(const View& view, const std::vector<node_id>& sources,
+void run_sweeps(const csr_graph& c, const std::vector<node_id>& sources,
                 const pair_weight_fn& w, double scale, std::size_t threads,
                 std::vector<double>* node_acc, std::vector<double>* edge_acc) {
   const bool want_edges = edge_acc != nullptr;
   if (threads <= 1) {
-    source_contribution c;
+    source_contribution contribution;
     sp_dag dag;
     for (const node_id s : sources) {
-      compute_contribution(view, s, w, want_edges, c, dag);
-      merge(c, scale, node_acc, edge_acc);
+      compute_contribution(c, s, w, want_edges, contribution, dag);
+      merge(contribution, scale, node_acc, edge_acc);
     }
     return;
   }
@@ -173,7 +141,7 @@ void run_sweeps(const View& view, const std::vector<node_id>& sources,
         while (!failed.load(std::memory_order_relaxed)) {
           const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
           if (i >= end) break;
-          compute_contribution(view, sources[i], w, want_edges,
+          compute_contribution(c, sources[i], w, want_edges,
                                slots[i - begin], dag);
         }
       } catch (...) {
@@ -301,75 +269,53 @@ void count_swept_sources(betweenness_backend backend, std::size_t sources) {
   }
 }
 
-/// Shared by the digraph and CSR entry points: the backend dispatch is
-/// identical, only the adjacency view differs.
-template <typename View>
-betweenness_result weighted_betweenness_on(const View& view,
-                                           std::size_t edge_slots,
-                                           const pair_weight_fn& w,
-                                           const betweenness_options& options) {
-  betweenness_result result;
-  result.node.assign(view.node_count(), 0.0);
-  result.edge.assign(edge_slots, 0.0);
-  auto [sources, scale] =
-      select_sources(view.node_count(), options, invalid_node);
-  count_swept_sources(options.backend, sources.size());
-  run_sweeps(view, sources, w, scale,
-             effective_threads(options, sources.size()), &result.node,
-             &result.edge);
-  return result;
-}
-
-template <typename View>
-double node_betweenness_of_on(const View& view, node_id u,
-                              const pair_weight_fn& w,
-                              const betweenness_options& options) {
-  std::vector<double> node_acc(view.node_count(), 0.0);
-  // Pairs with source u are not routed *through* u, so u is excluded from
-  // the source population (and from the sampled pivot pool).
-  auto [sources, scale] = select_sources(view.node_count(), options, u);
-  count_swept_sources(options.backend, sources.size());
-  run_sweeps(view, sources, w, scale,
-             effective_threads(options, sources.size()), &node_acc, nullptr);
-  return node_acc[u];
-}
-
 }  // namespace
-
-betweenness_result weighted_betweenness(const digraph& g,
-                                        const pair_weight_fn& w,
-                                        const betweenness_options& options) {
-  return weighted_betweenness_on(digraph_sweep_view{g}, g.edge_slots(), w,
-                                 options);
-}
-
-betweenness_result betweenness(const digraph& g) {
-  return weighted_betweenness(g, [](node_id, node_id) { return 1.0; });
-}
 
 betweenness_result weighted_betweenness(const csr_graph& c,
                                         const pair_weight_fn& w,
                                         const betweenness_options& options) {
-  return weighted_betweenness_on(csr_sweep_view{c}, c.edge_slots(), w,
-                                 options);
+  betweenness_result result;
+  result.node.assign(c.node_count(), 0.0);
+  result.edge.assign(c.edge_slots(), 0.0);
+  auto [sources, scale] = select_sources(c.node_count(), options, invalid_node);
+  count_swept_sources(options.backend, sources.size());
+  run_sweeps(c, sources, w, scale, effective_threads(options, sources.size()),
+             &result.node, &result.edge);
+  return result;
 }
 
 betweenness_result betweenness(const csr_graph& c) {
   return weighted_betweenness(c, [](node_id, node_id) { return 1.0; });
 }
 
-double node_betweenness_of(const digraph& g, node_id u,
-                           const pair_weight_fn& w,
-                           const betweenness_options& options) {
-  LCG_EXPECTS(g.has_node(u));
-  return node_betweenness_of_on(digraph_sweep_view{g}, u, w, options);
-}
-
 double node_betweenness_of(const csr_graph& c, node_id u,
                            const pair_weight_fn& w,
                            const betweenness_options& options) {
   LCG_EXPECTS(c.has_node(u));
-  return node_betweenness_of_on(csr_sweep_view{c}, u, w, options);
+  std::vector<double> node_acc(c.node_count(), 0.0);
+  // Pairs with source u are not routed *through* u, so u is excluded from
+  // the source population (and from the sampled pivot pool).
+  auto [sources, scale] = select_sources(c.node_count(), options, u);
+  count_swept_sources(options.backend, sources.size());
+  run_sweeps(c, sources, w, scale, effective_threads(options, sources.size()),
+             &node_acc, nullptr);
+  return node_acc[u];
+}
+
+betweenness_result weighted_betweenness(const digraph& g,
+                                        const pair_weight_fn& w,
+                                        const betweenness_options& options) {
+  return weighted_betweenness(freeze(g), w, options);
+}
+
+betweenness_result betweenness(const digraph& g) {
+  return betweenness(freeze(g));
+}
+
+double node_betweenness_of(const digraph& g, node_id u,
+                           const pair_weight_fn& w,
+                           const betweenness_options& options) {
+  return node_betweenness_of(freeze(g), u, w, options);
 }
 
 source_plan betweenness_source_plan(std::size_t n,
@@ -379,10 +325,10 @@ source_plan betweenness_source_plan(std::size_t n,
   return source_plan{std::move(sources), scale};
 }
 
-void source_dependencies(const digraph& g, const sp_dag& dag, node_id s,
+void source_dependencies(const csr_graph& c, const sp_dag& dag, node_id s,
                          const pair_weight_fn& w, std::vector<double>& delta) {
-  delta.assign(g.node_count(), 0.0);
-  accumulate_over_dag(digraph_sweep_view{g}, dag, s, w, nullptr, delta);
+  delta.assign(c.node_count(), 0.0);
+  accumulate_over_dag(c, dag, s, w, nullptr, delta);
 }
 
 bool toggle_affects_source(const std::vector<std::int32_t>& dist,
@@ -394,18 +340,18 @@ bool toggle_affects_source(const std::vector<std::int32_t>& dist,
   return db == da + 1;  // removal: exactly the pred[dst] membership test
 }
 
-std::vector<double> through_fractions(const digraph& g, const sp_dag& dag,
+std::vector<double> through_fractions(const csr_graph& c, const sp_dag& dag,
                                       node_id u) {
-  std::vector<double> frac(g.node_count(), 0.0);
+  std::vector<double> frac(c.node_count(), 0.0);
   if (dag.dist[u] == unreachable) return frac;
-  std::vector<double> psi(g.node_count(), 0.0);  // shortest paths via u
+  std::vector<double> psi(c.node_count(), 0.0);  // shortest paths via u
   psi[u] = dag.sigma[u];
   // Forward pass in non-decreasing distance: every pred of v is strictly
   // closer, so its psi is final when v is processed.
   for (const node_id v : dag.order) {
     if (v == u || dag.dist[v] <= dag.dist[u]) continue;
     double via = 0.0;
-    for (const edge_id e : dag.pred[v]) via += psi[g.edge_at(e).src];
+    for (const edge_id k : dag.pred[v]) via += psi[c.edge_src(k)];
     psi[v] = via;
     if (via > 0.0) frac[v] = via / dag.sigma[v];
   }

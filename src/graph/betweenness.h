@@ -19,6 +19,11 @@
 // Eq. (2) requires; node betweenness excludes endpoints, as the revenue
 // definition requires).
 //
+// One engine: every sweep runs over a frozen csr_graph (graph/csr.h). The
+// digraph overloads below freeze their argument and forward; freeze keeps
+// each node's active out-edge order, so a digraph call and a call on its
+// frozen view execute the identical float operation sequence.
+//
 // Invariants shared by every backend and by the naive reference (pinned by
 // tests/graph_betweenness_property_test.cpp):
 //
@@ -111,38 +116,18 @@ struct betweenness_options {
 [[nodiscard]] std::vector<node_id> sample_betweenness_pivots(
     std::size_t n, std::size_t k, std::uint64_t seed);
 
-/// Node and edge betweenness with per-pair weights, over active edges; the
-/// multi-backend entry point (see the file comment for backend semantics;
-/// the default options are the exact serial reference).
-[[nodiscard]] betweenness_result weighted_betweenness(
-    const digraph& g, const pair_weight_fn& w,
-    const betweenness_options& options = {});
-
-/// Unweighted betweenness (w == 1 for every ordered pair).
-[[nodiscard]] betweenness_result betweenness(const digraph& g);
-
-// --- Frozen-view entry points (graph/csr.h) -------------------------------
-//
-// Every backend also accepts a frozen CSR view. The flat arrays preserve
-// the digraph's per-node active out-edge order, so the sweep engine (one
-// shared template) executes the identical float operation sequence and the
-// results — including the per-edge vector, which stays indexed by ORIGINAL
-// digraph edge id via csr_graph::edge_slot — are BITWISE equal to the
-// adjacency-list overloads for every backend, thread count and pivot
-// stream (pinned by the CSR axis of graph_betweenness_property_test.cpp
-// and enforced by bench_betweenness's exit code).
-
 class csr_graph;  // graph/csr.h
 
+/// Node and edge betweenness with per-pair weights, over active edges; the
+/// multi-backend entry point (see the file comment for backend semantics;
+/// the default options are the exact serial reference). `edge` is indexed
+/// by ORIGINAL digraph edge id (csr_graph::edge_slot), inactive slots 0.
 [[nodiscard]] betweenness_result weighted_betweenness(
     const csr_graph& c, const pair_weight_fn& w,
     const betweenness_options& options = {});
 
+/// Unweighted betweenness (w == 1 for every ordered pair).
 [[nodiscard]] betweenness_result betweenness(const csr_graph& c);
-
-[[nodiscard]] double node_betweenness_of(
-    const csr_graph& c, node_id u, const pair_weight_fn& w,
-    const betweenness_options& options = {});
 
 /// Weighted dependency accumulated at a single node `u` (pairs with either
 /// endpoint equal to u contribute nothing: sources s == u are skipped, and
@@ -151,6 +136,16 @@ class csr_graph;  // graph/csr.h
 /// except it skips source u and the final per-edge bookkeeping. The sampled
 /// backend draws pivots from the n - 1 sources != u and rescales by
 /// (n - 1)/k, keeping the estimator unbiased.
+[[nodiscard]] double node_betweenness_of(
+    const csr_graph& c, node_id u, const pair_weight_fn& w,
+    const betweenness_options& options = {});
+
+/// The same three entry points on a mutable digraph: freeze(g), then the
+/// overload above. A caller sweeping one graph several times freezes once.
+[[nodiscard]] betweenness_result weighted_betweenness(
+    const digraph& g, const pair_weight_fn& w,
+    const betweenness_options& options = {});
+[[nodiscard]] betweenness_result betweenness(const digraph& g);
 [[nodiscard]] double node_betweenness_of(
     const digraph& g, node_id u, const pair_weight_fn& w,
     const betweenness_options& options = {});
@@ -185,12 +180,12 @@ struct source_plan {
     node_id skip = invalid_node);
 
 /// Brandes backward accumulation for source `s` over a PRECOMPUTED DAG
-/// (`dag` must be shortest_path_dag(g, s)). Writes the per-node dependency
-/// into `delta` (resized/zeroed; delta[s] forced to 0). The float operation
-/// sequence is IDENTICAL to the internal sweep engine's, so feeding a
-/// cached DAG whose bits match shortest_path_dag(g, s) reproduces the full
-/// sweep's delta bit for bit.
-void source_dependencies(const digraph& g, const sp_dag& dag, node_id s,
+/// (`dag` must be shortest_path_dag(c, s); its pred lists hold packed ids of
+/// `c`). Writes the per-node dependency into `delta` (resized/zeroed;
+/// delta[s] forced to 0). The float operation sequence is IDENTICAL to the
+/// internal sweep engine's, so feeding a cached DAG whose bits match
+/// shortest_path_dag(c, s) reproduces the full sweep's delta bit for bit.
+void source_dependencies(const csr_graph& c, const sp_dag& dag, node_id s,
                          const pair_weight_fn& w, std::vector<double>& delta);
 
 /// One directed edge flipped between active and inactive.
@@ -209,10 +204,11 @@ struct edge_toggle {
 ///  * removed edge (a, b): only matters when it sits on a shortest path,
 ///    i.e. a reachable and dist[b] == dist[a] + 1 (exactly the membership
 ///    condition for pred[b]). Otherwise BFS never used it.
-/// A FALSE verdict guarantees the toggled graph's sp_dag from s equals the
-/// base one bitwise (new edge slots append to adjacency lists, so traversal
-/// order of the surviving edges is unchanged); tests pin this on the
-/// property-test corpus. For a channel, test both orientations and OR.
+/// A FALSE verdict guarantees the toggled graph's sp_dag from s has the base
+/// one's dist, sigma and order bitwise (new edge slots append to adjacency
+/// lists, so traversal order of the surviving edges is unchanged); pred
+/// differs only in which packed ids name the same edges. Tests pin this on
+/// the property-test corpus. For a channel, test both orientations and OR.
 [[nodiscard]] bool toggle_affects_source(const std::vector<std::int32_t>& dist,
                                          const edge_toggle& t);
 
@@ -221,7 +217,7 @@ struct edge_toggle {
 /// one forward pass over the cached DAG. Weight-independent, so one vector
 /// per (source, u) prices dot-product bounds for ANY candidate weight row:
 /// delta_s(u) == sum_t w(s, t) * frac[t] in exact arithmetic.
-[[nodiscard]] std::vector<double> through_fractions(const digraph& g,
+[[nodiscard]] std::vector<double> through_fractions(const csr_graph& c,
                                                     const sp_dag& dag,
                                                     node_id u);
 

@@ -12,12 +12,11 @@
 // That order pin is the whole contract. Because freeze() preserves the
 // per-node adjacency sequence (out_edge_ids order with inactive slots
 // skipped), every traversal kernel below visits edges in the same order as
-// the digraph's for_each_out, so BFS frontiers, shortest-path DAGs, sigma
-// accumulation and Brandes dependency sweeps execute the identical float
-// operation sequence — results over a frozen view are BITWISE equal to the
-// adjacency-list path (tests/graph_csr_test.cpp and the CSR axis of
-// tests/graph_betweenness_property_test.cpp pin this; bench_betweenness
-// enforces it by exit code).
+// the digraph's for_each_out, so BFS frontiers and shortest-path DAGs
+// (dist, sigma, order) are BITWISE equal to the adjacency-list kernels'
+// (tests/graph_csr_test.cpp pins this). The Brandes engine
+// (graph/betweenness.h) sweeps only this representation; its digraph
+// overloads freeze and forward.
 //
 // `edge_slot(k)` maps a packed index back to the ORIGINAL digraph edge id,
 // so per-edge results (betweenness_result::edge, route edge lists) keep the
@@ -26,7 +25,9 @@
 //
 // freeze() is O(n + m) and allocation-lean; the intended pattern is: mutate
 // the digraph, freeze once, run many read-only sweeps on the view, throw it
-// away (or thaw() back to a compact digraph for interchange).
+// away (or thaw() back to a compact digraph for interchange). The arena's
+// candidate evaluator freezes each toggled candidate graph once before its
+// re-sweeps (arena/incremental.h).
 
 #ifndef LCG_GRAPH_CSR_H
 #define LCG_GRAPH_CSR_H

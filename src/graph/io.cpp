@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <unordered_set>
@@ -117,8 +118,16 @@ digraph read_edge_list(std::istream& is, const edge_list_options& options) {
   {
     std::istringstream header(std::string(chomp(line)));
     std::string keyword, extra;
-    if (!(header >> keyword >> n) || keyword != "nodes" || (header >> extra))
+    std::int64_t count = 0;
+    if (!(header >> keyword >> count) || keyword != "nodes" ||
+        (header >> extra))
       fail_at("edge list", line_no, "expected 'nodes <count>' header");
+    constexpr auto max_count = std::numeric_limits<node_id>::max();
+    if (count < 0 || static_cast<std::uint64_t>(count) > max_count)
+      fail_at("edge list", line_no,
+              "node count " + std::to_string(count) + " out of range [0, " +
+                  std::to_string(max_count) + "]");
+    n = static_cast<std::size_t>(count);
   }
 
   digraph g(n);
@@ -137,6 +146,12 @@ digraph read_edge_list(std::istream& is, const edge_list_options& options) {
     if (src < 0 || dst < 0 || static_cast<std::size_t>(src) >= n ||
         static_cast<std::size_t>(dst) >= n)
       fail_at("edge list", line_no, "edge endpoint out of range");
+    if (src == dst)
+      fail_at("edge list", line_no, "self-loop on node " + std::to_string(src));
+    if (!std::isfinite(capacity) || capacity < 0.0)
+      fail_at("edge list", line_no,
+              "bad capacity " + render_double(capacity) +
+                  " (want a finite non-negative number)");
     if (!options.allow_parallel_edges) {
       const std::uint64_t key =
           (static_cast<std::uint64_t>(src) << 32) |
@@ -333,6 +348,9 @@ digraph read_csv_snapshot(std::istream& nodes_is, std::istream& channels_is,
                   fail_at("edges.csv", line_no,
                           "dangling node id " + std::to_string(v));
               }
+              if (rec.from == rec.to)
+                fail_at("edges.csv", line_no,
+                        "self-loop on node " + std::to_string(rec.from));
               if (rec.channel < 0 ||
                   static_cast<std::size_t>(rec.channel) >= channels.size())
                 fail_at("edges.csv", line_no,

@@ -23,7 +23,8 @@ namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
 
-/// E_fees component for one node given its p_trans row and BFS distances.
+}  // namespace
+
 double fees_of(const std::vector<double>& p_row,
                const std::vector<std::int32_t>& dist, graph::node_id u,
                double a) {
@@ -37,8 +38,6 @@ double fees_of(const std::vector<double>& p_row,
   }
   return a * total;
 }
-
-}  // namespace
 
 std::vector<utility_breakdown> all_utilities(const graph::digraph& g,
                                              const game_params& params) {

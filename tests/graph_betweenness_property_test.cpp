@@ -437,6 +437,17 @@ std::vector<std::pair<node_id, node_id>> channel_list(const digraph& g) {
   return out;
 }
 
+/// A frozen DAG's pred lists in original digraph edge ids (packed ids are
+/// positions in one particular freeze, so only slots compare across two).
+std::vector<std::vector<edge_id>> pred_slots(const csr_graph& c,
+                                             const sp_dag& dag) {
+  std::vector<std::vector<edge_id>> out(dag.pred.size());
+  for (node_id v = 0; v < dag.pred.size(); ++v) {
+    for (const edge_id k : dag.pred[v]) out[v].push_back(c.edge_slot(k));
+  }
+  return out;
+}
+
 /// Applies one channel toggle and returns the pair of directed edge_toggles
 /// the affected-source predicate sees. Additions append fresh slots (the
 /// slot-order property the bitwise contract relies on); removals deactivate
@@ -463,9 +474,12 @@ TEST(BetweennessToggle, UnaffectedSourceDagsAreBitwiseStable) {
     for (std::size_t step = 0; step < 4; ++step) {
       // Base DAGs of the CURRENT graph, then one random channel toggle —
       // removal of an existing channel or addition of a missing one.
+      const csr_graph base_view = freeze(g);
       std::vector<sp_dag> base;
       base.reserve(n);
-      for (node_id s = 0; s < n; ++s) base.push_back(shortest_path_dag(g, s));
+      for (node_id s = 0; s < n; ++s) {
+        base.push_back(shortest_path_dag(base_view, s));
+      }
 
       const std::vector<std::pair<node_id, node_id>> channels =
           channel_list(g);
@@ -494,6 +508,7 @@ TEST(BetweennessToggle, UnaffectedSourceDagsAreBitwiseStable) {
       }
       const std::vector<edge_toggle> toggles =
           apply_channel_toggle(g, a, b, add);
+      const csr_graph toggled_view = freeze(g);
 
       for (node_id s = 0; s < n; ++s) {
         bool affected = false;
@@ -501,13 +516,16 @@ TEST(BetweennessToggle, UnaffectedSourceDagsAreBitwiseStable) {
           affected = affected || toggle_affects_source(base[s].dist, t);
         }
         if (affected) continue;
-        const sp_dag fresh = shortest_path_dag(g, s);
+        const sp_dag fresh = shortest_path_dag(toggled_view, s);
         const std::string ctx = c.name + " step=" + std::to_string(step) +
                                 " s=" + std::to_string(s);
         EXPECT_EQ(fresh.dist, base[s].dist) << ctx;
         EXPECT_EQ(fresh.sigma, base[s].sigma) << ctx;
-        EXPECT_EQ(fresh.pred, base[s].pred) << ctx;
         EXPECT_EQ(fresh.order, base[s].order) << ctx;
+        // Packed ids shift with the toggle; the edges they name do not.
+        EXPECT_EQ(pred_slots(toggled_view, fresh),
+                  pred_slots(base_view, base[s]))
+            << ctx;
       }
       // The sequence continues from the toggled graph.
     }
@@ -536,10 +554,11 @@ TEST(BetweennessToggle, CachedPlanEvaluationMatchesFullExactAndSampled) {
     for (const betweenness_options& options : {exact, sampled}) {
       digraph g = c.g;
       const source_plan plan = betweenness_source_plan(n, options, u);
+      const csr_graph base_view = freeze(g);
       std::vector<sp_dag> base;
       base.reserve(plan.sources.size());
       for (const node_id s : plan.sources) {
-        base.push_back(shortest_path_dag(g, s));
+        base.push_back(shortest_path_dag(base_view, s));
       }
 
       // Toggle a u-incident channel pattern, like an oracle candidate:
@@ -562,6 +581,7 @@ TEST(BetweennessToggle, CachedPlanEvaluationMatchesFullExactAndSampled) {
         }
       }
       if (toggles.empty()) continue;
+      const csr_graph toggled_view = freeze(g);
 
       double acc = 0.0;
       std::vector<double> delta;
@@ -572,10 +592,10 @@ TEST(BetweennessToggle, CachedPlanEvaluationMatchesFullExactAndSampled) {
           affected = affected || toggle_affects_source(base[i].dist, t);
         }
         if (affected) {
-          const sp_dag fresh = shortest_path_dag(g, s);
-          source_dependencies(g, fresh, s, c.w, delta);
+          const sp_dag fresh = shortest_path_dag(toggled_view, s);
+          source_dependencies(toggled_view, fresh, s, c.w, delta);
         } else {
-          source_dependencies(g, base[i], s, c.w, delta);
+          source_dependencies(base_view, base[i], s, c.w, delta);
         }
         acc += plan.scale * delta[u];
       }
@@ -594,11 +614,12 @@ TEST(BetweennessToggle, ThroughFractionsMatchSigmaRatios) {
   for (const corpus_case& c : build_corpus()) {
     const std::size_t n = c.g.node_count();
     if (n < 5 || n > 12) continue;
+    const csr_graph view = freeze(c.g);
     for (node_id s = 0; s < n; s += 2) {
-      const sp_dag dag_s = shortest_path_dag(c.g, s);
+      const sp_dag dag_s = shortest_path_dag(view, s);
       for (node_id u = 1; u < n; u += 3) {
-        const std::vector<double> frac = through_fractions(c.g, dag_s, u);
-        const sp_dag dag_u = shortest_path_dag(c.g, u);
+        const std::vector<double> frac = through_fractions(view, dag_s, u);
+        const sp_dag dag_u = shortest_path_dag(view, u);
         for (node_id t = 0; t < n; ++t) {
           if (t == u) continue;
           double want = 0.0;
@@ -627,55 +648,14 @@ TEST(BetweennessInvariant, BackendNamesRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// CSR axis (ISSUE 8): a frozen csr_graph view fed to any backend must
-// reproduce the adjacency-list result BITWISE — same engine template, same
-// per-node edge order, same float operation sequence — over the whole
-// corpus, for every backend, and across freeze -> toggle -> re-freeze
-// sequences. The per-edge vector stays indexed by original edge id, so the
-// two results are comparable element for element with no translation.
+// Re-freeze axis: the engine sweeps only frozen views, so a view re-frozen
+// after every step of a random toggle sequence must still match the naive
+// reference on the mutable digraph. Removals leave inactive slots behind
+// (frozen out), additions append fresh slots (frozen in), and the per-edge
+// vector stays indexed by original edge id through both.
 // ---------------------------------------------------------------------------
 
-TEST(BetweennessCsr, FrozenViewBitwiseEqualsDigraphOnEveryBackend) {
-  for (const corpus_case& c : build_corpus()) {
-    const csr_graph frozen = freeze(c.g);
-    ASSERT_EQ(frozen.edge_slots(), c.g.edge_slots()) << c.name;
-    for (const betweenness_options& options : all_backend_options()) {
-      const std::string context =
-          c.name + " backend=" +
-          std::string(betweenness_backend_name(options.backend));
-      expect_bitwise_result(weighted_betweenness(frozen, c.w, options),
-                            weighted_betweenness(c.g, c.w, options), context);
-    }
-    // The unit-weight convenience overload shares the path.
-    expect_bitwise_result(betweenness(frozen), betweenness(c.g),
-                          c.name + " unit");
-  }
-}
-
-TEST(BetweennessCsr, NodeBetweennessOfMatchesDigraphBitwise) {
-  for (const corpus_case& c : build_corpus()) {
-    if (c.g.node_count() == 0) continue;
-    const csr_graph frozen = freeze(c.g);
-    // Every third node keeps the corpus-wide sweep affordable while still
-    // covering hubs and leaves.
-    for (node_id u = 0; u < c.g.node_count(); u += 3) {
-      for (const betweenness_options& options : all_backend_options()) {
-        const double got = node_betweenness_of(frozen, u, c.w, options);
-        const double want = node_betweenness_of(c.g, u, c.w, options);
-        EXPECT_EQ(got, want)
-            << c.name << " u=" << u << " backend="
-            << betweenness_backend_name(options.backend);
-      }
-    }
-  }
-}
-
-TEST(BetweennessCsr, BitwiseStableAcrossToggleRefreezeSequences) {
-  // freeze -> random channel toggle -> re-freeze must track the mutable
-  // digraph exactly: after every step the re-frozen view agrees bitwise
-  // with the adjacency path on every backend. Removals leave inactive
-  // slots behind (frozen out), additions append fresh slots (frozen in) —
-  // both directions of the slot lifecycle are exercised.
+TEST(BetweennessCsr, RefrozenViewMatchesNaiveAcrossToggleSequences) {
   for (const corpus_case& c : build_corpus()) {
     if (c.g.node_count() < 3) continue;
     digraph g = c.g;  // mutable copy
@@ -701,12 +681,16 @@ TEST(BetweennessCsr, BitwiseStableAcrossToggleRefreezeSequences) {
 
       const csr_graph frozen = freeze(g);
       ASSERT_EQ(frozen.edge_count(), g.edge_count()) << c.name;
+      const betweenness_result naive = weighted_betweenness_naive(g, c.w);
+      // The exact backends; the sampled one is pinned against its own
+      // pivot sum above.
       for (const betweenness_options& options : all_backend_options()) {
-        const std::string context =
-            c.name + " step=" + std::to_string(step) + " backend=" +
-            std::string(betweenness_backend_name(options.backend));
-        expect_bitwise_result(weighted_betweenness(frozen, c.w, options),
-                              weighted_betweenness(g, c.w, options), context);
+        if (options.backend == betweenness_backend::sampled) continue;
+        expect_near_result(weighted_betweenness(frozen, c.w, options), naive,
+                           c.name + " step=" + std::to_string(step) +
+                               " backend=" +
+                               std::string(betweenness_backend_name(
+                                   options.backend)));
       }
     }
   }

@@ -2,9 +2,9 @@
 // round trips, edge cases (empty, single node, multi-component, inactive
 // slots), the iteration-order pin that every bitwise-equivalence guarantee
 // rests on, and the flat traversal kernels (BFS, shortest-path DAG, bucket
-// Dijkstra) against their adjacency-list references. The Brandes-level
-// equivalence over the 50+-graph corpus lives in
-// graph_betweenness_property_test.cpp's CSR axis.
+// Dijkstra) against their adjacency-list references. The Brandes engine
+// sweeps only frozen views; its corpus-wide checks live in
+// graph_betweenness_property_test.cpp.
 
 #include "graph/csr.h"
 

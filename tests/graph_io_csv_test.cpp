@@ -180,6 +180,16 @@ TEST(GraphIoCsv, RejectsDanglingNodeAndChannelIds) {
       "2,7,-1,1,2,2.5\n";  // channel 7 does not exist
   msg = read_error_of(t);
   EXPECT_NE(msg.find("dangling channel id 7"), std::string::npos) << msg;
+
+  t = small_snapshot();
+  t.edges =
+      "id,channel_id,counter_edge_id,from_node,to_node,balance\n"
+      "0,0,1,0,1,4\n"
+      "1,0,0,1,0,6\n"
+      "2,1,-1,2,2,2.5\n";  // a self-loop, which no digraph can hold
+  msg = read_error_of(t);
+  EXPECT_NE(msg.find("edges.csv line 4"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("self-loop on node 2"), std::string::npos) << msg;
 }
 
 TEST(GraphIoCsv, RejectsNonDenseIdsAndBrokenCounterPairs) {

@@ -108,6 +108,29 @@ TEST(GraphIo, ReadLocatesMalformedAndOutOfRangeLines) {
   // Line 3 is blank (tolerated); the offending row is physical line 4.
   EXPECT_NE(range_msg.find("line 4"), std::string::npos) << range_msg;
   EXPECT_NE(range_msg.find("out of range"), std::string::npos) << range_msg;
+
+  // Rows the digraph would reject (self-loop, negative capacity) and node
+  // counts it cannot hold fail at the parse site, located like the rest.
+  const struct {
+    const char* text;
+    const char* where;
+    const char* what;
+  } bad_rows[] = {
+      {"nodes 3\n0 1 1.0\n0 0 1\n", "line 3", "self-loop on node 0"},
+      {"nodes 3\n0 1 -1\n", "line 2", "bad capacity"},
+      {"nodes -1\n", "line 1", "node count -1 out of range"},
+      {"nodes 99999999999\n", "line 1", "out of range"},
+  };
+  for (const auto& row : bad_rows) {
+    std::stringstream in(row.text);
+    const std::string msg =
+        error_message_of([&] { (void)read_edge_list(in); });
+    EXPECT_NE(msg.find(std::string("edge list ") + row.where),
+              std::string::npos)
+        << row.text << " -> " << msg;
+    EXPECT_NE(msg.find(row.what), std::string::npos)
+        << row.text << " -> " << msg;
+  }
 }
 
 TEST(GraphIo, ReadRejectsNegativeEndpoint) {
