@@ -28,29 +28,29 @@
 // Every configuration runs in BOTH provider modes (full, incremental) and
 // the records are emitted as adjacent pairs. The two runs must agree on
 // every observable — outcome, rounds, moves, logical evaluations, total
-// gain, final topology, churn counts, ledger — and this binary EXITS
-// NON-ZERO on any divergence, so the bench doubles as the mode-equivalence
-// gate at bench scale, now including the heterogeneous and churning paths.
+// gain, final topology, churn counts, ledger — and this binary EXITS 1 on
+// any divergence, so the bench doubles as the mode-equivalence gate at
+// bench scale. It also exits 1 unless every pair evaluated utilities,
+// churn applied joins and leaves with a zero deposit gap (and no other
+// family churned), and incremental swept less than full.
 // `effective_sweeps` counts single-source DAG constructions (the metric the
 // incremental mode exists to cut); `sweep_reduction` on incremental records
 // is full/incremental for the same configuration.
 //
-// Like bench_betweenness this binary needs no google-benchmark and is built
-// unconditionally; CI runs --smoke and checks the JSON is well-formed.
+// The bench_artifacts ctest runs --smoke and pins the record keys of its
+// output and of the committed BENCH_arena.json.
 //
 //   bench_arena [--smoke] [--json PATH] [--sizes n1,n2,...] [--repeat R]
 
-#include <charconv>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "arena/engine.h"
 #include "arena/population.h"
-#include "bench_timing.h"
+#include "bench_common.h"
 #include "dist/param_sampler.h"
 #include "runner/fixtures.h"
 #include "topology/dynamics.h"
@@ -97,27 +97,6 @@ struct bench_config {
   std::string json_path = "BENCH_arena.json";
 };
 
-std::vector<std::size_t> parse_size_list(const std::string& text) {
-  std::vector<std::size_t> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    std::size_t v = 0;
-    const auto [ptr, ec] =
-        std::from_chars(item.data(), item.data() + item.size(), v);
-    if (ec != std::errc() || ptr != item.data() + item.size() || v == 0) {
-      std::cerr << "bench_arena: bad list entry '" << item << "'\n";
-      std::exit(2);
-    }
-    out.push_back(v);
-  }
-  if (out.empty()) {
-    std::cerr << "bench_arena: empty list '" << text << "'\n";
-    std::exit(2);
-  }
-  return out;
-}
-
 void write_json(const std::string& path,
                 const std::vector<bench_record>& records) {
   std::ofstream os(path);
@@ -160,9 +139,13 @@ void write_json(const std::string& path,
   os << "]\n";
 }
 
-/// The two modes must produce identical dynamics; any drift is a
-/// correctness bug in the incremental path, not a perf regression.
-bool equal_runs(const arena::arena_result& a, const arena::arena_result& b) {
+/// The two modes must produce identical dynamics, churn counts, active
+/// mask and deposit ledger; any drift is a correctness bug in the
+/// incremental path, not a perf regression.
+bool equal_runs(const arena::population_result& pa,
+                const arena::population_result& pb) {
+  const arena::arena_result& a = pa.base;
+  const arena::arena_result& b = pb.base;
   if (a.outcome != b.outcome || a.rounds != b.rounds ||
       a.proposals != b.proposals || a.evaluations != b.evaluations ||
       a.total_gain != b.total_gain || a.moves.size() != b.moves.size())
@@ -177,7 +160,31 @@ bool equal_runs(const arena::arena_result& a, const arena::arena_result& b) {
       return false;
   }
   return topology::topology_fingerprint(a.state.graph()) ==
-         topology::topology_fingerprint(b.state.graph());
+             topology::topology_fingerprint(b.state.graph()) &&
+         pa.joins == pb.joins && pa.leaves == pb.leaves &&
+         pa.active == pb.active &&
+         pa.ledger.deposited == pb.ledger.deposited &&
+         pa.ledger.refunded == pb.ledger.refunded &&
+         pa.ledger.open_value == pb.ledger.open_value &&
+         pa.ledger.locked == pb.ledger.locked;
+}
+
+/// The relations every full/incremental record pair must satisfy beyond
+/// mode equality; the first broken one, or nullptr.
+const char* pair_violation(const bench_record& full,
+                           const bench_record& inc) {
+  if (inc.evaluations == 0) return "no utility evaluations";
+  if (full.family == "churn") {
+    if (inc.joins == 0 || inc.leaves == 0) return "no churn applied";
+    if (inc.conservation_gap != 0.0) return "deposits leaked (gap != 0)";
+  } else if (inc.joins != 0 || inc.leaves != 0 ||
+             inc.conservation_gap != 0.0) {
+    return "joins, leaves or a deposit gap outside the churn family";
+  }
+  if (inc.effective_sweeps == 0 ||
+      inc.effective_sweeps >= full.effective_sweeps)
+    return "incremental did not sweep less than full";
+  return nullptr;
 }
 
 int run(const bench_config& config) {
@@ -206,8 +213,8 @@ int run(const bench_config& config) {
   };
 
   /// Runs a population configuration in both provider modes, appending the
-  /// paired records; false on any full/incremental divergence (dynamics,
-  /// churn counts or the deposit ledger).
+  /// paired records; false (after naming the configuration and the problem
+  /// on stderr) on any full/incremental divergence or pair_violation.
   const auto run_population_pair = [&](const std::string& family,
                                        const graph::digraph& start,
                                        arena::population_options popts) {
@@ -262,76 +269,31 @@ int run(const bench_config& config) {
                  rec.final_shape, rec.wall_ms});
       results.push_back(std::move(result));
     }
-    const arena::population_result& a = results[0];
-    const arena::population_result& b = results[1];
-    return equal_runs(a.base, b.base) && a.joins == b.joins &&
-           a.leaves == b.leaves && a.active == b.active &&
-           a.ledger.deposited == b.ledger.deposited &&
-           a.ledger.refunded == b.ledger.refunded &&
-           a.ledger.open_value == b.ledger.open_value &&
-           a.ledger.locked == b.ledger.locked;
+    const char* problem =
+        equal_runs(results[0], results[1])
+            ? pair_violation(records.end()[-2], records.back())
+            : "FULL vs INCREMENTAL divergence — the incremental mode must "
+              "be bitwise-exact";
+    if (problem != nullptr) {
+      std::cerr << "bench_arena: n=" << n << " family=" << family
+                << " oracle=" << arena::oracle_name(popts.base.oracle) << ": "
+                << problem << "\n";
+    }
+    return problem == nullptr;
   };
 
   for (const std::size_t n : config.sizes) {
     rng gen(n);
     const graph::digraph start = runner::make_topology("ws", n, gen);
 
+    // Static population: the homogeneous fixed-population run, once per
+    // oracle.
     for (const arena::oracle_kind oracle :
          {arena::oracle_kind::greedy, arena::oracle_kind::local}) {
-      arena::arena_options options = base_options();
-      options.oracle = oracle;
-
-      std::vector<arena::arena_result> results;
-      for (const arena::provider_mode mode :
-           {arena::provider_mode::full, arena::provider_mode::incremental}) {
-        options.provider.mode = mode;
-        arena::arena_result result;
-        const double best_ms = bench::best_of_ms(
-            config.repeat,
-            [&] { return arena::run_arena(start, params, options); },
-            &result);
-
-        bench_record rec;
-        rec.n = n;
-        rec.channels_start = start.edge_count() / 2;
-        rec.topology = "ws";
-        rec.oracle = std::string(arena::oracle_name(oracle));
-        rec.order = std::string(arena::order_name(options.order));
-        rec.pivots = options.provider.pivots;
-        rec.mode = std::string(arena::provider_mode_name(mode));
-        rec.rounds = result.rounds;
-        rec.moves = result.moves.size();
-        rec.evaluations = result.evaluations;
-        rec.effective_sweeps = result.sweeps.effective_sweeps();
-        rec.pruned = result.sweeps.pruned;
-        rec.sweeps = result.sweeps;
-        rec.converged =
-            result.outcome == topology::dynamics_outcome::converged;
-        rec.final_shape = topology::classify_topology(result.state.graph());
-        rec.wall_ms = best_ms;
-        if (mode == arena::provider_mode::incremental &&
-            rec.effective_sweeps > 0) {
-          rec.sweep_reduction =
-              static_cast<double>(records.back().effective_sweeps) /
-              static_cast<double>(rec.effective_sweeps);
-        }
-        records.push_back(rec);
-        t.add_row({rec.family, static_cast<long long>(n),
-                   static_cast<long long>(rec.channels_start), rec.oracle,
-                   rec.mode, static_cast<long long>(rec.rounds),
-                   static_cast<long long>(rec.moves),
-                   static_cast<long long>(rec.evaluations),
-                   static_cast<long long>(rec.effective_sweeps),
-                   static_cast<long long>(rec.pruned), rec.sweep_reduction,
-                   rec.final_shape, rec.wall_ms});
-        results.push_back(std::move(result));
-      }
-      if (!equal_runs(results[0], results[1])) {
-        std::cerr << "bench_arena: FULL vs INCREMENTAL divergence at n=" << n
-                  << " oracle=" << arena::oracle_name(oracle)
-                  << " — the incremental mode must be bitwise-exact\n";
-        return 1;
-      }
+      arena::population_options popts;
+      popts.base = base_options();
+      popts.base.oracle = oracle;
+      if (!run_population_pair("static", start, popts)) return 1;
     }
 
     // Heterogeneous population (ISSUE 9): mean-preserving lognormal
@@ -347,19 +309,14 @@ int run(const bench_config& config) {
       specs.l = {dist::param_dist::lognormal, params.l, 0.5};
       rng param_stream(0x452821e638d01377ULL ^ n);
       popts.player_params = dist::draw_population(specs, n, param_stream);
-      if (!run_population_pair("hetero", start, popts)) {
-        std::cerr << "bench_arena: FULL vs INCREMENTAL divergence at n=" << n
-                  << " family=hetero — the incremental mode must be "
-                     "bitwise-exact under per-player params\n";
-        return 1;
-      }
+      if (!run_population_pair("hetero", start, popts)) return 1;
     }
 
-    // Churning population (ISSUE 9): 2n/3 initial players over a ws core
-    // (spare slots isolated), 8 joins + 8 leaves in the first half of the
-    // round budget, deposit ledger tracked. The equality gate covers the
-    // churn counts and every ledger field; conservation_gap lands in the
-    // JSON so CI can assert it is exactly 0.
+    // Churning population: 2n/3 initial players over a ws core (spare
+    // slots isolated), 8 joins + 8 leaves in the first half of the round
+    // budget, deposit ledger tracked. The equality gate covers the churn
+    // counts and every ledger field, and pair_violation requires a zero
+    // conservation_gap.
     {
       const std::size_t initial = 2 * n / 3;
       arena::population_options popts;
@@ -376,12 +333,7 @@ int run(const bench_config& config) {
       graph::digraph churn_start(n);
       for (const topology::channel_pair& ch : topology::channel_pairs(core))
         churn_start.add_bidirectional(ch.a, ch.b);
-      if (!run_population_pair("churn", churn_start, popts)) {
-        std::cerr << "bench_arena: FULL vs INCREMENTAL divergence at n=" << n
-                  << " family=churn — the incremental mode must be "
-                     "bitwise-exact under churn\n";
-        return 1;
-      }
+      if (!run_population_pair("churn", churn_start, popts)) return 1;
     }
   }
 
@@ -398,39 +350,28 @@ int run(const bench_config& config) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* binary = "bench_arena";
   bench_config config;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "bench_arena: " << flag << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
     if (arg == "--smoke") {
-      // CI smoke mode: small populations, both oracles, quick.
+      // Smoke mode (bench_artifacts ctest): small populations, every
+      // family and oracle, quick.
       config.sizes = {24, 60};
     } else if (arg == "--json") {
-      config.json_path = need_value("--json");
+      config.json_path = bench::flag_value(binary, argc, argv, i);
     } else if (arg == "--sizes") {
-      config.sizes = parse_size_list(need_value("--sizes"));
+      config.sizes = bench::parse_size_list(
+          binary, bench::flag_value(binary, argc, argv, i));
     } else if (arg == "--repeat") {
-      const std::string text = need_value("--repeat");
-      const auto [ptr, ec] = std::from_chars(
-          text.data(), text.data() + text.size(), config.repeat);
-      if (ec != std::errc() || ptr != text.data() + text.size() ||
-          config.repeat == 0) {
-        std::cerr << "bench_arena: bad --repeat '" << text << "'\n";
-        return 2;
-      }
+      config.repeat = bench::parse_count(
+          binary, arg, bench::flag_value(binary, argc, argv, i));
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: bench_arena [--smoke] [--json PATH] "
                    "[--sizes n1,n2,...] [--repeat R]\n";
       return 0;
     } else {
-      std::cerr << "bench_arena: unknown argument '" << arg << "'\n";
-      return 2;
+      bench::usage_error(binary, "unknown argument '" + arg + "'");
     }
   }
   return run(config);

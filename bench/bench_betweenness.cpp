@@ -8,10 +8,9 @@
 //   * parallel  — exact, source-partitioned across threads (bit-identical)
 //   * sampled   — Brandes–Pich pivot estimator (k pivots, n/k rescale)
 //
-// Unlike the other bench_* binaries this one does not need google-benchmark
-// (it is built unconditionally) and it emits a machine-readable record of
-// the comparison to BENCH_betweenness.json so the performance trajectory is
-// tracked across PRs:
+// It emits a machine-readable record of the comparison to
+// BENCH_betweenness.json so the performance trajectory is tracked across
+// PRs:
 //
 //   [{"n":..., "edges":..., "backend":"parallel", "graph":"csr",
 //     "threads":8, "pivots":0, "obs":{"graph/sweep_source_parallel":...},
@@ -24,23 +23,23 @@
 // Each configuration is timed once, on the host's frozen CSR view
 // (graph/csr.h) — the only representation the engine sweeps — so "graph"
 // is always "csr". Exactness is enforced, not just reported: any parallel
-// result that is not bit-identical to serial aborts with exit code 1.
+// result that is not bit-identical to serial aborts with exit code 1. The
+// bench_artifacts ctest runs --smoke and pins the record keys of its output
+// and of the committed BENCH_betweenness.json.
 //
 //   bench_betweenness [--smoke] [--json PATH] [--sizes n1,n2,...]
 //                     [--threads t1,t2,...] [--repeat R]
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench_timing.h"
+#include "bench_common.h"
 #include "graph/betweenness.h"
 #include "graph/csr.h"
 #include "graph/generators.h"
@@ -72,27 +71,6 @@ struct bench_config {
   std::size_t repeat = 1;
   std::string json_path = "BENCH_betweenness.json";
 };
-
-std::vector<std::size_t> parse_size_list(const std::string& text) {
-  std::vector<std::size_t> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    std::size_t v = 0;
-    const auto [ptr, ec] =
-        std::from_chars(item.data(), item.data() + item.size(), v);
-    if (ec != std::errc() || ptr != item.data() + item.size() || v == 0) {
-      std::cerr << "bench_betweenness: bad list entry '" << item << "'\n";
-      std::exit(2);
-    }
-    out.push_back(v);
-  }
-  if (out.empty()) {
-    std::cerr << "bench_betweenness: empty list '" << text << "'\n";
-    std::exit(2);
-  }
-  return out;
-}
 
 /// Largest |a - b| over nodes and edges, normalised by the largest exact
 /// value (not per-element: near-zero exact entries would otherwise dominate
@@ -229,42 +207,32 @@ int run(const bench_config& config) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* binary = "bench_betweenness";
   bench_config config;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "bench_betweenness: " << flag << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
     if (arg == "--smoke") {
-      // CI smoke mode: small hosts, quick but still covering every backend.
+      // Smoke mode (bench_artifacts ctest): small hosts, quick but still
+      // covering every backend.
       config.sizes = {50, 120};
       config.threads = {2, 4};
     } else if (arg == "--json") {
-      config.json_path = need_value("--json");
+      config.json_path = bench::flag_value(binary, argc, argv, i);
     } else if (arg == "--sizes") {
-      config.sizes = parse_size_list(need_value("--sizes"));
+      config.sizes = bench::parse_size_list(
+          binary, bench::flag_value(binary, argc, argv, i));
     } else if (arg == "--threads") {
-      config.threads = parse_size_list(need_value("--threads"));
+      config.threads = bench::parse_size_list(
+          binary, bench::flag_value(binary, argc, argv, i));
     } else if (arg == "--repeat") {
-      const std::string text = need_value("--repeat");
-      const auto [ptr, ec] = std::from_chars(
-          text.data(), text.data() + text.size(), config.repeat);
-      if (ec != std::errc() || ptr != text.data() + text.size() ||
-          config.repeat == 0) {
-        std::cerr << "bench_betweenness: bad --repeat '" << text << "'\n";
-        return 2;
-      }
+      config.repeat = bench::parse_count(
+          binary, arg, bench::flag_value(binary, argc, argv, i));
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: bench_betweenness [--smoke] [--json PATH] "
                    "[--sizes n1,n2,...] [--threads t1,t2,...] [--repeat R]\n";
       return 0;
     } else {
-      std::cerr << "bench_betweenness: unknown argument '" << arg << "'\n";
-      return 2;
+      bench::usage_error(binary, "unknown argument '" + arg + "'");
     }
   }
   return run(config);

@@ -18,22 +18,22 @@
 // runtime metric names (src/obs/), so a trace snapshot and a committed
 // bench record are comparable key for key.
 //
-// Like the other bench_* binaries this needs no google-benchmark and is
-// built unconditionally; CI runs --smoke and checks the JSON is well-formed.
+// Every record must satisfy 0 < delivered <= payments, events >= payments
+// and route_scan > 0; the binary exits 1 otherwise. The bench_artifacts
+// ctest runs --smoke and pins the record keys of its output and of the
+// committed BENCH_payments.json.
 //
 //   bench_payments [--smoke] [--json PATH] [--sizes n1,n2,...]
 //                  [--payments P] [--repeat R]
 
-#include <charconv>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "arena/export.h"
-#include "bench_timing.h"
+#include "bench_common.h"
 #include "dist/fee.h"
 #include "dist/transaction_dist.h"
 #include "dist/tx_size.h"
@@ -67,27 +67,6 @@ struct bench_config {
   std::size_t repeat = 1;
   std::string json_path = "BENCH_payments.json";
 };
-
-std::vector<std::size_t> parse_size_list(const std::string& text) {
-  std::vector<std::size_t> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    std::size_t v = 0;
-    const auto [ptr, ec] =
-        std::from_chars(item.data(), item.data() + item.size(), v);
-    if (ec != std::errc() || ptr != item.data() + item.size() || v == 0) {
-      std::cerr << "bench_payments: bad list entry '" << item << "'\n";
-      std::exit(2);
-    }
-    out.push_back(v);
-  }
-  if (out.empty()) {
-    std::cerr << "bench_payments: empty list '" << text << "'\n";
-    std::exit(2);
-  }
-  return out;
-}
 
 void write_json(const std::string& path,
                 const std::vector<bench_record>& records) {
@@ -127,8 +106,19 @@ void write_json(const std::string& path,
   os << "]\n";
 }
 
+/// The relations every record must satisfy; the first broken one, or
+/// nullptr.
+const char* record_violation(const bench_record& r) {
+  if (r.delivered == 0 || r.delivered > r.payments)
+    return "delivered outside (0, payments]";
+  if (r.events < r.payments) return "fewer events than payment arrivals";
+  if (r.metrics.route_scans == 0) return "no route search work";
+  return nullptr;
+}
+
 int run(const bench_config& config) {
   std::vector<bench_record> records;
+  bool relations_ok = true;
   table t({"n", "channels", "payments", "delivered", "success", "events",
            "wall ms", "payments/s"});
 
@@ -172,6 +162,10 @@ int run(const bench_config& config) {
     rec.events = m.events;
     rec.metrics = m;
     rec.wall_ms = best_ms;
+    if (const char* problem = record_violation(rec)) {
+      std::cerr << "bench_payments: n=" << n << ": " << problem << "\n";
+      relations_ok = false;
+    }
     records.push_back(rec);
     t.add_row({static_cast<long long>(n),
                static_cast<long long>(rec.channels),
@@ -188,50 +182,38 @@ int run(const bench_config& config) {
   t.print(std::cout);
   write_json(config.json_path, records);
   std::cout << records.size() << " record(s) -> " << config.json_path << "\n";
-  return 0;
+  return relations_ok ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* binary = "bench_payments";
   bench_config config;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "bench_payments: " << flag << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    const auto parse_count = [&](const char* flag, auto& out) {
-      const std::string text = need_value(flag);
-      const auto [ptr, ec] =
-          std::from_chars(text.data(), text.data() + text.size(), out);
-      if (ec != std::errc() || ptr != text.data() + text.size() || out == 0) {
-        std::cerr << "bench_payments: bad " << flag << " '" << text << "'\n";
-        std::exit(2);
-      }
-    };
     if (arg == "--smoke") {
-      // CI smoke mode: small hosts, a quick slice of the workload.
+      // Smoke mode (bench_artifacts ctest): small hosts, a quick slice of
+      // the workload.
       config.sizes = {24, 48};
       config.payments = 20'000;
     } else if (arg == "--json") {
-      config.json_path = need_value("--json");
+      config.json_path = bench::flag_value(binary, argc, argv, i);
     } else if (arg == "--sizes") {
-      config.sizes = parse_size_list(need_value("--sizes"));
+      config.sizes = bench::parse_size_list(
+          binary, bench::flag_value(binary, argc, argv, i));
     } else if (arg == "--payments") {
-      parse_count("--payments", config.payments);
+      config.payments = bench::parse_count(
+          binary, arg, bench::flag_value(binary, argc, argv, i));
     } else if (arg == "--repeat") {
-      parse_count("--repeat", config.repeat);
+      config.repeat = bench::parse_count(
+          binary, arg, bench::flag_value(binary, argc, argv, i));
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: bench_payments [--smoke] [--json PATH] "
                    "[--sizes n1,n2,...] [--payments P] [--repeat R]\n";
       return 0;
     } else {
-      std::cerr << "bench_payments: unknown argument '" << arg << "'\n";
-      return 2;
+      bench::usage_error(binary, "unknown argument '" + arg + "'");
     }
   }
   return run(config);

@@ -8,6 +8,7 @@
 
 #include "graph/betweenness.h"
 #include "graph/csr.h"
+#include "graph/traversal.h"
 #include "topology/game.h"
 #include "util/error.h"
 
@@ -158,7 +159,7 @@ double candidate_evaluator::base_value() {
   const std::vector<std::int32_t> dist_u = graph::bfs_distances(work_, u_);
   ++stats.support_bfs;
   const double fees =
-      topology::fees_of(rows.row(u_), dist_u, u_, provider_.a_of(u_));
+      graph::expected_hop_cost(rows.row(u_), dist_u, 1, provider_.a_of(u_));
   const double cost = provider_.l_of(u_) * p.cost_share *
                       static_cast<double>(work_.out_degree(u_));
 
@@ -246,7 +247,7 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   const std::vector<std::int32_t> fee_dist = graph::bfs_distances(work_, u_);
   ++stats.support_bfs;
   const double fees =
-      topology::fees_of(rows.row(u_), fee_dist, u_, provider_.a_of(u_));
+      graph::expected_hop_cost(rows.row(u_), fee_dist, 1, provider_.a_of(u_));
   const double cost = provider_.l_of(u_) * p.cost_share *
                       static_cast<double>(work_.out_degree(u_));
   if (std::isinf(fees)) {

@@ -94,8 +94,8 @@ topology::utility_breakdown utility_provider::evaluate(
           frozen, u,
           [&rows](graph::node_id s, graph::node_id t) { return rows.row(s)[t]; },
           backend);
-  out.fees = topology::fees_of(rows.row(u), graph::bfs_distances(frozen, u),
-                               u, a_of(u));
+  out.fees = graph::expected_hop_cost(
+      rows.row(u), graph::bfs_distances(frozen, u), 1, a_of(u));
   out.cost =
       l_of(u) * params_.cost_share * static_cast<double>(g.out_degree(u));
   out.total = std::isinf(out.fees) ? -inf : out.revenue - out.fees - out.cost;

@@ -112,19 +112,10 @@ double utility_model::expected_fees(const strategy& s) const {
 
 double utility_model::fees_from_distances(
     std::span<const std::int32_t> dist_from_u) const {
-  LCG_EXPECTS(dist_from_u.size() >= host_.node_count());
-  double total = 0.0;
-  for (graph::node_id v = 0; v < host_.node_count(); ++v) {
-    const double p = newcomer_probs_[v];
-    if (p <= 0.0) continue;
-    if (dist_from_u[v] == graph::unreachable)
-      return std::numeric_limits<double>::infinity();
-    double hops = static_cast<double>(dist_from_u[v]);
-    if (params_.fee_mode == fee_distance_mode::intermediaries)
-      hops = std::max(0.0, hops - 1.0);
-    total += hops * p;
-  }
-  return params_.user_tx_rate * params_.fee_avg_tx * total;
+  const std::int32_t hop_offset =
+      params_.fee_mode == fee_distance_mode::intermediaries ? 1 : 0;
+  return graph::expected_hop_cost(newcomer_probs_, dist_from_u, hop_offset,
+                                  params_.user_tx_rate * params_.fee_avg_tx);
 }
 
 double utility_model::utility(const strategy& s) const {

@@ -25,6 +25,19 @@ std::vector<std::int32_t> bfs_distances(const digraph& g, node_id src) {
   return dist;
 }
 
+double expected_hop_cost(std::span<const double> p,
+                         std::span<const std::int32_t> dist,
+                         std::int32_t hop_offset, double scale) {
+  LCG_EXPECTS(dist.size() >= p.size());
+  double total = 0.0;
+  for (std::size_t v = 0; v < p.size(); ++v) {
+    if (p[v] <= 0.0) continue;
+    if (dist[v] == unreachable) return std::numeric_limits<double>::infinity();
+    total += static_cast<double>(std::max(dist[v] - hop_offset, 0)) * p[v];
+  }
+  return scale * total;
+}
+
 void pred_lists::reset(std::size_t n) {
   offset_.assign(n + 1, 0);
   keys_.clear();

@@ -27,6 +27,17 @@ inline constexpr std::int32_t unreachable = -1;
 [[nodiscard]] std::vector<std::int32_t> bfs_distances(const digraph& g,
                                                       node_id src);
 
+/// scale * sum of p[v] * max(dist[v] - hop_offset, 0) over the v < p.size()
+/// with p[v] > 0, summed in node order; +infinity as soon as such a v is
+/// `unreachable`. With `dist` the BFS row of a sender u and `p` its
+/// transaction probabilities this is the paper's E_fees (II-C):
+/// hop_offset 0 charges every hop, 1 only intermediaries (a direct channel
+/// is free). The join objective and the Section IV game utilities both
+/// take their fee term from here. Requires dist.size() >= p.size().
+[[nodiscard]] double expected_hop_cost(std::span<const double> p,
+                                       std::span<const std::int32_t> dist,
+                                       std::int32_t hop_offset, double scale);
+
 /// Predecessor edge lists of every node of a shortest-path DAG, stored flat:
 /// list v holds v's DAG in-edges in discovery order. It reads like a
 /// vector<vector<edge_id>> — size() lists, operator[] a span — but is built

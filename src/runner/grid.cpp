@@ -87,17 +87,13 @@ std::vector<job> expand_jobs(const scenario& sc, const param_grid& grid,
   std::vector<job> jobs;
   const std::vector<param_map> points = grid.expand();
   jobs.reserve(points.size() * seeds);
-  // Seed indices are assigned over the points with the seed-neutral axes
-  // erased: an evaluation-path knob must not change the experiment, so grid
-  // points differing only in "mode" — or in any axis the scenario declares
-  // seed-neutral — share one seed (that identity is what lets CI byte-diff
-  // a scenario across provider modes, and a degenerate churn/heterogeneity
-  // value against the plain run). Grids without any such axis hit the
-  // unique-key path and keep their historical seeds.
+  // Seed indices are assigned over the points with the scenario's
+  // seed-neutral axes erased, so grid points differing only in those axes
+  // share one seed. Grids without any such axis hit the unique-key path and
+  // keep their historical seeds.
   std::map<param_map, std::uint64_t> seed_index;
   for (std::size_t p = 0; p < points.size(); ++p) {
     param_map key = points[p];
-    key.erase("mode");
     for (const std::string& axis : sc.seed_neutral) key.erase(axis);
     const std::uint64_t index =
         seed_index.emplace(std::move(key), seed_index.size()).first->second;

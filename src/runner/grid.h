@@ -59,11 +59,9 @@ struct job {
 /// Expands `sc` over `grid` with `seeds` replications per grid point.
 /// Job seeds are derived from (base_seed, scenario name, point index,
 /// replicate) through splitmix64, so two jobs never share an rng stream and
-/// the assignment is stable under re-ordering of execution. The "mode"
-/// axis is seed-NEUTRAL by contract: it selects an evaluation path, never
-/// a different experiment, so points differing only in "mode" share one
-/// seed (CI byte-diffs scenario output across provider modes on top of
-/// this identity).
+/// the assignment is stable under re-ordering of execution. Points that
+/// differ only in the scenario's declared `seed_neutral` axes share one
+/// seed (runner/scenario.h).
 [[nodiscard]] std::vector<job> expand_jobs(const scenario& sc,
                                            const param_grid& grid,
                                            std::uint32_t seeds,

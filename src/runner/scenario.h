@@ -152,11 +152,10 @@ struct scenario {
   /// undeclared (header then needs executed rows).
   std::vector<std::string> columns;
   /// Axes that must NOT perturb seed assignment (runner/grid.h): grid
-  /// points differing only in these parameters share a seed, so CI can
-  /// byte-diff rows across them. The provider "mode" axis is always
-  /// seed-neutral; list here additional knobs with the same contract
-  /// (e.g. a scenario's churn or heterogeneity axis, whose degenerate
-  /// value must replay the plain run on the same stream).
+  /// points differing only in these parameters share a seed, so their rows
+  /// can be byte-compared. List knobs that select an evaluation path (the
+  /// arena's provider "mode") or whose degenerate value must replay the
+  /// plain run on the same stream (a churn or heterogeneity axis).
   std::vector<std::string> seed_neutral = {};
 };
 

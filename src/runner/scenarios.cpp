@@ -651,7 +651,8 @@ arena::arena_options arena_options_from(const scenario_context& ctx,
   options.provider.pivots = static_cast<std::size_t>(
       std::max(1LL, ctx.get_int("pivots", 32)));
   // full | incremental — bitwise-identical results either way (enforced by
-  // tests/arena_incremental_test.cpp and the CI byte-diff step); the knob
+  // tests/arena_incremental_test.cpp and, row for row, by
+  // ScenarioCatalog.ArenaScenariosByteIdenticalAcrossJobCounts); the knob
   // exists so every scenario doubles as an equivalence fixture.
   options.provider.mode =
       arena::provider_mode_from_name(ctx.get_string("mode", "full"));
@@ -1482,7 +1483,8 @@ std::size_t register_builtin_scenarios() {
            {"outcome", "rounds", "moves", "proposals", "total_gain",
             "evaluations", "channels_start", "channels_final", "final_shape",
             "max_degree", "welfare", "welfare_star", "welfare_best_ref",
-            "best_ref"}});
+            "best_ref"},
+           {"mode"}});
     r.add({"arena/oracle_duel",
            "greedy vs local (vs brute at n<=8) oracles on one start",
            {{"topology", strings({"path", "er"})}, {"n", ints({6, 20})}},
@@ -1503,7 +1505,8 @@ std::size_t register_builtin_scenarios() {
            "2",
            {"nodes", "outcome", "rounds", "moves", "evaluations",
             "evals_per_player", "channels_start", "channels_final",
-            "final_shape", "max_degree", "welfare"}});
+            "final_shape", "max_degree", "welfare"},
+           {"mode"}});
     r.add({"arena/heterogeneous",
            "per-player (a,b,l) from point/lognormal specs; who hubs?",
            // n = 40 keeps the default catalog fast; the n >= 120 coverage
@@ -1522,9 +1525,8 @@ std::size_t register_builtin_scenarios() {
             "channels_start", "channels_final", "final_shape", "max_degree",
             "welfare", "hub", "hub_degree", "hub_l", "l_min", "l_max"},
            // The point-mass spec consumes no draws and replays the
-           // homogeneous run, so the dist axis must share seeds ("mode" is
-           // always seed-neutral, grid.cpp).
-           {"dist"}});
+           // homogeneous run, so the dist axis must share seeds.
+           {"dist", "mode"}});
     r.add({"arena/churn",
            "joins/leaves with deposit-conservation ledger + rebalance mix",
            {{"topology", strings({"ws"})},
@@ -1541,7 +1543,7 @@ std::size_t register_builtin_scenarios() {
             "reb_fees_paid"},
            // churn=none must replay the static run on the same stream and
            // fee_aware only affects post-run analysis.
-           {"churn", "fee_aware"}});
+           {"churn", "fee_aware", "mode"}});
     r.add({"traffic/baseline",
            "discrete-event HTLC traffic: retries x gossip staleness",
            {{"retry", strings({"none", "exclude", "backoff"})},

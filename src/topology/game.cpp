@@ -25,20 +25,6 @@ constexpr double inf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
-double fees_of(const std::vector<double>& p_row,
-               const std::vector<std::int32_t>& dist, graph::node_id u,
-               double a) {
-  double total = 0.0;
-  for (graph::node_id v = 0; v < p_row.size(); ++v) {
-    if (v == u || p_row[v] <= 0.0) continue;
-    if (dist[v] == graph::unreachable) return inf;
-    // Intermediary counting: a direct neighbour costs no fees.
-    total += static_cast<double>(std::max<std::int32_t>(dist[v] - 1, 0)) *
-             p_row[v];
-  }
-  return a * total;
-}
-
 std::vector<utility_breakdown> all_utilities(const graph::digraph& g,
                                              const game_params& params) {
   params.validate();
@@ -57,7 +43,8 @@ std::vector<utility_breakdown> all_utilities(const graph::digraph& g,
   for (graph::node_id u = 0; u < n; ++u) {
     utility_breakdown& out = result[u];
     out.revenue = params.b * bw.node[u];
-    out.fees = fees_of(p[u], graph::bfs_distances(g, u), u, params.a);
+    out.fees = graph::expected_hop_cost(p[u], graph::bfs_distances(g, u), 1,
+                                       params.a);
     out.cost = params.l * params.cost_share *
                static_cast<double>(g.out_degree(u));
     out.total = std::isinf(out.fees) ? -inf
@@ -78,7 +65,8 @@ utility_breakdown node_utility(const graph::digraph& g, graph::node_id u,
       params.b *
       graph::node_betweenness_of(
           g, u, [&p](graph::node_id s, graph::node_id t) { return p[s][t]; });
-  out.fees = fees_of(p[u], graph::bfs_distances(g, u), u, params.a);
+  out.fees = graph::expected_hop_cost(p[u], graph::bfs_distances(g, u), 1,
+                                       params.a);
   out.cost =
       params.l * params.cost_share * static_cast<double>(g.out_degree(u));
   out.total = std::isinf(out.fees) ? -inf : out.revenue - out.fees - out.cost;

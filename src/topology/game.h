@@ -51,14 +51,6 @@ struct utility_breakdown {
   double total = 0.0;     // revenue - fees - cost; -inf when disconnected
 };
 
-/// E_fees_u given u's p_trans row and its BFS hop distances: intermediary
-/// counting (a direct channel costs no fees), +inf as soon as a receiver
-/// with p > 0 is unreachable. Shared by the utilities below and the arena's
-/// evaluation paths, so their fee terms are bitwise equal.
-[[nodiscard]] double fees_of(const std::vector<double>& p_row,
-                             const std::vector<std::int32_t>& dist,
-                             graph::node_id u, double a);
-
 /// Utility of node `u` in graph `g` (bidirectional channels as edge pairs).
 [[nodiscard]] utility_breakdown node_utility(const graph::digraph& g,
                                              graph::node_id u,

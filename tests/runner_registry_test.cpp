@@ -142,10 +142,12 @@ TEST(Grid, SeedsAreDistinctAcrossJobsAndStableAcrossCalls) {
 }
 
 TEST(Grid, ModeAxisIsSeedNeutral) {
-  // "mode" selects an evaluation path, not an experiment: points differing
-  // only in mode share a seed (the identity CI's cross-mode byte-diff
+  // "mode" selects an evaluation path, not an experiment, and the arena
+  // scenarios declare it seed-neutral: points differing only in mode share
+  // a seed (the identity the cross-mode row check in runner_scenarios_test
   // stands on), and adding the axis must not move any other point's seed.
   scenario sc = make_scenario("seeded");
+  sc.seed_neutral = {"mode"};
   param_grid plain;
   plain.sweep("n", {value(1LL), value(2LL)});
   param_grid with_mode = plain;
@@ -166,14 +168,13 @@ TEST(Grid, ModeAxisIsSeedNeutral) {
 }
 
 TEST(Grid, DeclaredSeedNeutralAxesShareSeedsLikeMode) {
-  // ISSUE 9 bugfix regression: a scenario may declare ADDITIONAL
-  // seed-neutral axes (churn, dist, fee_aware — knobs whose degenerate
-  // value replays the plain run). Points differing only in those axes
-  // must share a seed even when the axis has several values, and adding
-  // the axis must not move any other point's seed — exactly the "mode"
-  // contract, extended to declared axes and their combinations.
+  // A scenario may declare several seed-neutral axes (churn, dist,
+  // fee_aware — knobs whose degenerate value replays the plain run — next
+  // to mode). Points differing only in those axes must share a seed even
+  // when the axis has several values, and adding the axes must not move
+  // any other point's seed — the "mode" contract, extended to combinations.
   scenario sc = make_scenario("seeded");
-  sc.seed_neutral = {"churn", "fee_aware"};
+  sc.seed_neutral = {"churn", "fee_aware", "mode"};
   param_grid plain;
   plain.sweep("n", {value(1LL), value(2LL)});
   param_grid with_axes = plain;

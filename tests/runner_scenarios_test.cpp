@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <variant>
@@ -279,11 +280,10 @@ TEST(ScenarioCatalog, SampledBetweennessSkipsExactAboveThreshold) {
 }
 
 TEST(ScenarioCatalog, ArenaScenariosByteIdenticalAcrossJobCounts) {
-  // Satellite of ISSUE 5: --jobs 1 vs --jobs 8 byte-identity over the new
-  // arena/* families. The full default grids run in CI; here the expensive
-  // axes are pinned smaller so the executor-level check stays quick while
-  // still covering every family, both sequential orders, and the sampled
-  // provider path (scale_profile forces exact_threshold=0).
+  // --jobs 1 vs --jobs 8 byte-identity over the arena/* families. The
+  // expensive axes are pinned smaller so the executor-level check stays
+  // quick while still covering every family, both sequential orders, and
+  // the sampled provider path (scale_profile forces exact_threshold=0).
   register_builtin_scenarios();
   std::vector<job> jobs;
   for (const auto& [name, pins] :
@@ -312,6 +312,34 @@ TEST(ScenarioCatalog, ArenaScenariosByteIdenticalAcrossJobCounts) {
   write_csv(csv_b, b);
   EXPECT_EQ(csv_a.str(), csv_b.str());
   for (const job_result& r : a) EXPECT_TRUE(r.ok()) << r.error;
+
+  // Provider-mode equivalence over arena/best_response's default grid (n
+  // in {16, 40}, mode={full,incremental}): keyed by everything but the mode
+  // (seed included — "mode" is seed-neutral), each point renders the same
+  // rows under both modes.
+  const scenario& best_response = find_or_die("arena/best_response");
+  const std::vector<job_result> paired =
+      run_jobs(expand_jobs(best_response,
+                           param_grid(best_response.default_sweep), 1, 42),
+               wide);
+  std::map<std::string, std::map<std::string, std::string>> by_point;
+  for (const job_result& r : paired) {
+    ASSERT_TRUE(r.ok()) << r.error;
+    param_map point = r.params;
+    const std::string mode = std::get<std::string>(point.at("mode"));
+    point.erase("mode");
+    std::string rendered;
+    for (const result_row& row : r.rows)
+      for (const auto& [column, v] : row.cells())
+        rendered += column + "=" + render_value(v) + "\n";
+    by_point[render_params(point) + " seed=" + std::to_string(r.seed)]
+            [mode] = rendered;
+  }
+  EXPECT_EQ(by_point.size(), 8u);  // topology x n x order
+  for (const auto& [point, modes] : by_point) {
+    ASSERT_EQ(modes.size(), 2u) << point;
+    EXPECT_EQ(modes.at("full"), modes.at("incremental")) << point;
+  }
 }
 
 TEST(ScenarioCatalog, ArenaCacheColdWarmRoundTrip) {
