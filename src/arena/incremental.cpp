@@ -42,18 +42,15 @@ struct base_dag_cache {
 };
 
 /// Incremental-mode cached state, all relative to the RESTING (base) graph:
-/// the pivot plan and its SSSP forest (pointers into the provider-level
+/// the SSSP forest of the plan sources (pointers into the provider-level
 /// cache), per-source through-fractions at u, and base BFS distance arrays
 /// from u and toggled peers (the bound cones).
 struct candidate_evaluator::session {
-  graph::source_plan plan;
   std::shared_ptr<base_dag_cache> cache;
-  std::vector<const graph::sp_dag*> dag;   // parallel to plan.sources
-  std::vector<std::vector<double>> frac;   // parallel to plan.sources
+  std::vector<const graph::sp_dag*> dag;   // parallel to plan_.sources
+  std::vector<std::vector<double>> frac;   // parallel to plan_.sources
   std::vector<char> frac_ready;
   std::unordered_map<graph::node_id, std::vector<std::int32_t>> peer_dist;
-  std::vector<double> delta;               // accumulation scratch
-  graph::sp_dag resweep;                   // re-sweep scratch (buffers kept)
   std::vector<char> affected;              // per-candidate scratch
   std::vector<double> ub_src;              // per-source bound contributions
 };
@@ -78,16 +75,24 @@ candidate_evaluator::candidate_evaluator(
   // slots append to the adjacency lists, which is what keeps traversal of
   // the surviving edges bit-identical whether a slot exists or not.
   for (const graph::node_id peer : adds) {
+    // An add must be a new channel, or the slot would be a parallel pair:
+    // no repeat and no existing channel with u in either direction (own
+    // peers sit in peers_, counterparty-owned channels show up in
+    // find_edge). add_bidirectional itself rejects u.
+    LCG_EXPECTS(std::find(peers_.begin(), peers_.end(), peer) ==
+                peers_.end());
+    LCG_EXPECTS(work_.find_edge(u, peer) == graph::invalid_edge &&
+                work_.find_edge(peer, u) == graph::invalid_edge);
     const graph::edge_id forward = work_.add_bidirectional(u, peer);
     work_.remove_edge(forward);
     work_.remove_edge(forward + 1);
     peers_.push_back(peer);
     pairs_.emplace_back(forward, forward + 1);
   }
+  plan_ = graph::betweenness_source_plan(
+      work_.node_count(), provider_.backend_for(work_.node_count()), u_);
   if (provider_.options().mode == provider_mode::incremental) {
     session_ = std::make_unique<session>();
-    session_->plan = graph::betweenness_source_plan(
-        work_.node_count(), provider_.backend_for(work_.node_count()), u_);
     std::shared_ptr<base_dag_cache>& cache = provider_.mutable_dag_cache();
     if (!cache) cache = std::make_shared<base_dag_cache>();
     graph::csr_graph view = graph::freeze(work_);
@@ -97,10 +102,10 @@ candidate_evaluator::candidate_evaluator(
       cache->view = std::move(view);
     }
     session_->cache = cache;
-    session_->dag.assign(session_->plan.sources.size(), nullptr);
-    session_->frac.resize(session_->plan.sources.size());
-    session_->frac_ready.assign(session_->plan.sources.size(), 0);
-    session_->affected.assign(session_->plan.sources.size(), 0);
+    session_->dag.assign(plan_.sources.size(), nullptr);
+    session_->frac.resize(plan_.sources.size());
+    session_->frac_ready.assign(plan_.sources.size(), 0);
+    session_->affected.assign(plan_.sources.size(), 0);
   }
 }
 
@@ -109,7 +114,7 @@ candidate_evaluator::candidate_evaluator(
 const graph::sp_dag& candidate_evaluator::base_dag(std::size_t i) {
   session& ses = *session_;
   if (ses.dag[i] == nullptr) {
-    const graph::node_id s = ses.plan.sources[i];
+    const graph::node_id s = plan_.sources[i];
     auto it = ses.cache->dag.find(s);
     if (it == ses.cache->dag.end()) {
       it = ses.cache->dag
@@ -147,14 +152,14 @@ void candidate_evaluator::toggle_diff(const std::vector<graph::node_id>& set,
 }
 
 double candidate_evaluator::base_value() {
-  if (!session_) return provider_.evaluate(work_, u_).total;
-
   provider_.count_logical_evaluation();
   sweep_stats& stats = provider_.mutable_stats();
-  session& ses = *session_;
   const topology::game_params& p = provider_.params();
   const lazy_prob_rows rows(work_, provider_.rank_masses(work_.node_count()),
                             p.basis, provider_.active());
+  const auto w = [&rows](graph::node_id a, graph::node_id b) {
+    return rows.row(a)[b];
+  };
 
   const std::vector<std::int32_t> dist_u = graph::bfs_distances(work_, u_);
   ++stats.support_bfs;
@@ -163,32 +168,35 @@ double candidate_evaluator::base_value() {
   const double cost = provider_.l_of(u_) * p.cost_share *
                       static_cast<double>(work_.out_degree(u_));
 
+  // Incremental mode accumulates over the session forest; full mode sweeps
+  // every plan source on one freeze of the resting graph.
+  std::optional<graph::csr_graph> resting;
+  if (!session_) resting = graph::freeze(work_);
   double acc = 0.0;
-  for (std::size_t i = 0; i < ses.plan.sources.size(); ++i) {
-    const graph::node_id s = ses.plan.sources[i];
-    graph::source_dependencies(
-        ses.cache->view, base_dag(i), s,
-        [&rows](graph::node_id a, graph::node_id b) { return rows.row(a)[b]; },
-        ses.delta);
-    ++stats.accumulations;
-    acc += ses.plan.scale * ses.delta[u_];
+  for (std::size_t i = 0; i < plan_.sources.size(); ++i) {
+    const graph::node_id s = plan_.sources[i];
+    if (session_) {
+      graph::source_dependencies(session_->cache->view, base_dag(i), s, w,
+                                 delta_);
+      ++stats.accumulations;
+    } else {
+      graph::shortest_path_dag(*resting, s, resweep_);
+      graph::source_dependencies(*resting, resweep_, s, w, delta_);
+      ++stats.full_sweeps;
+    }
+    acc += plan_.scale * delta_[u_];
   }
   const double revenue = provider_.b_of(u_) * acc;
   return std::isinf(fees) ? -inf : revenue - fees - cost;
 }
 
 double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
-  if (!session_) {
-    toggle_diff(set, /*on=*/true);
-    const double value = provider_.evaluate(work_, u_).total;
-    toggle_diff(set, /*on=*/false);
-    return value;
-  }
-
   provider_.count_logical_evaluation();
   sweep_stats& stats = provider_.mutable_stats();
-  session& ses = *session_;
   const topology::game_params& p = provider_.params();
+  // Full mode skips the forest, the affected-source classification and
+  // the bounds: every plan source counts as affected and is re-swept.
+  const bool bounding = session_ && threshold_ > -inf;
 
   // The candidate's toggle set: channels leaving and joining u's own set.
   std::vector<graph::node_id> removed, added;
@@ -199,44 +207,47 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
     if (i >= own_.size() && in_set) added.push_back(peers_[i]);
   }
 
-  // Base-graph cached state: the forest (affected-source classification +
-  // reuse) on the base view, and the bound cones' BFS arrays from u and
-  // every toggled peer, which must be filled BEFORE toggling work_.
-  for (std::size_t i = 0; i < ses.plan.sources.size(); ++i) base_dag(i);
-  const bool bounding = threshold_ > -inf;
-  const auto base_dist = [&](graph::node_id v) -> const auto& {
-    auto it = ses.peer_dist.find(v);
-    if (it == ses.peer_dist.end()) {
-      it = ses.peer_dist.emplace(v, graph::bfs_distances(work_, v)).first;
-      ++stats.support_bfs;
+  // Incremental mode only: the base-graph cached state — the forest
+  // (affected-source classification + reuse) on the base view, and the
+  // bound cones' BFS arrays from u and every toggled peer, which must be
+  // filled BEFORE toggling work_.
+  if (session_) {
+    session& ses = *session_;
+    for (std::size_t i = 0; i < plan_.sources.size(); ++i) base_dag(i);
+    const auto base_dist = [&](graph::node_id v) -> const auto& {
+      auto it = ses.peer_dist.find(v);
+      if (it == ses.peer_dist.end()) {
+        it = ses.peer_dist.emplace(v, graph::bfs_distances(work_, v)).first;
+        ++stats.support_bfs;
+      }
+      return it->second;
+    };
+    if (bounding) {
+      base_dist(u_);
+      for (const graph::node_id q : removed) base_dist(q);
+      for (const graph::node_id q : added) base_dist(q);
     }
-    return it->second;
-  };
-  if (bounding) {
-    base_dist(u_);
-    for (const graph::node_id q : removed) base_dist(q);
-    for (const graph::node_id q : added) base_dist(q);
-  }
 
-  // Classify which plan sources the toggles can affect (both orientations
-  // of every toggled channel; OR over the toggle set is sound because a
-  // FALSE verdict for every toggle pins the whole DAG bitwise).
-  std::vector<graph::edge_toggle> toggles;
-  toggles.reserve(2 * (removed.size() + added.size()));
-  for (const graph::node_id q : removed) {
-    toggles.push_back({u_, q, false});
-    toggles.push_back({q, u_, false});
-  }
-  for (const graph::node_id q : added) {
-    toggles.push_back({u_, q, true});
-    toggles.push_back({q, u_, true});
-  }
-  for (std::size_t i = 0; i < ses.plan.sources.size(); ++i) {
-    ses.affected[i] = 0;
-    for (const graph::edge_toggle& t : toggles) {
-      if (graph::toggle_affects_source(ses.dag[i]->dist, t)) {
-        ses.affected[i] = 1;
-        break;
+    // Classify which plan sources the toggles can affect (both orientations
+    // of every toggled channel; OR over the toggle set is sound because a
+    // FALSE verdict for every toggle pins the whole DAG bitwise).
+    std::vector<graph::edge_toggle> toggles;
+    toggles.reserve(2 * (removed.size() + added.size()));
+    for (const graph::node_id q : removed) {
+      toggles.push_back({u_, q, false});
+      toggles.push_back({q, u_, false});
+    }
+    for (const graph::node_id q : added) {
+      toggles.push_back({u_, q, true});
+      toggles.push_back({q, u_, true});
+    }
+    for (std::size_t i = 0; i < plan_.sources.size(); ++i) {
+      ses.affected[i] = 0;
+      for (const graph::edge_toggle& t : toggles) {
+        if (graph::toggle_affects_source(ses.dag[i]->dist, t)) {
+          ses.affected[i] = 1;
+          break;
+        }
       }
     }
   }
@@ -251,7 +262,7 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   const double cost = provider_.l_of(u_) * p.cost_share *
                       static_cast<double>(work_.out_degree(u_));
   if (std::isinf(fees)) {
-    // total is -inf no matter what revenue is (the full path computes the
+    // total is -inf no matter what revenue is (base_value applies the
     // same guard), so no sweep is needed at all.
     toggle_diff(set, /*on=*/false);
     return -inf;
@@ -264,6 +275,7 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   // cone pairs get the full headroom w * (1 - frac). The bound phase costs
   // dot products only — not a single sweep.
   if (bounding) {
+    session& ses = *session_;
     const std::vector<std::int32_t>& du = ses.peer_dist.at(u_);
     // The cones' BFS arrays, looked up once rather than per target.
     std::vector<const std::vector<std::int32_t>*> added_dist, removed_dist;
@@ -271,10 +283,10 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
       added_dist.push_back(&ses.peer_dist.at(q));
     for (const graph::node_id q : removed)
       removed_dist.push_back(&ses.peer_dist.at(q));
-    ses.ub_src.assign(ses.plan.sources.size(), 0.0);
+    ses.ub_src.assign(plan_.sources.size(), 0.0);
     double ub_acc = 0.0;
-    for (std::size_t i = 0; i < ses.plan.sources.size(); ++i) {
-      const graph::node_id s = ses.plan.sources[i];
+    for (std::size_t i = 0; i < plan_.sources.size(); ++i) {
+      const graph::node_id s = plan_.sources[i];
       const std::vector<double>& w_row = rows.row(s);
       if (!ses.frac_ready[i]) {
         ses.frac[i] =
@@ -312,7 +324,7 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
           dot += w_row[t] * (cone ? 1.0 : frac[t]);
         }
       }
-      ses.ub_src[i] = ses.plan.scale * dot;
+      ses.ub_src[i] = plan_.scale * dot;
       ub_acc += ses.ub_src[i];
     }
     const double ub_total = provider_.b_of(u_) * ub_acc - fees - cost;
@@ -329,11 +341,12 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
     }
   }
 
-  // --- Exact phase: bitwise-identical to the full path. Sources merge in
-  // ascending order with one scale-multiplied addition each, exactly the
-  // sweep engine's sequence; unaffected sources reuse the cached DAG bits on
-  // the base view. The toggled graph is frozen once, at the first affected
-  // source that survives the truncation check, and re-swept on that view.
+  // --- Exact phase, shared by both modes. Sources merge in ascending order
+  // with one scale-multiplied addition each, exactly the sweep engine's
+  // sequence. Full mode re-sweeps every source; incremental mode re-sweeps
+  // only the affected ones and reuses the cached DAG bits on the base view
+  // for the rest. The toggled graph is frozen once, at the first source
+  // that needs a re-sweep and survives the truncation check.
   //
   // Early termination (DESIGN.md §8): when bounding, each source's bound
   // contribution from the phase above dominates its exact contribution, so
@@ -344,19 +357,23 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   // like the true value would.
   std::vector<double> suffix;
   if (bounding) {
-    suffix.assign(ses.plan.sources.size() + 1, 0.0);
-    for (std::size_t i = ses.plan.sources.size(); i-- > 0;) {
-      suffix[i] = suffix[i + 1] + ses.ub_src[i];
+    suffix.assign(plan_.sources.size() + 1, 0.0);
+    for (std::size_t i = plan_.sources.size(); i-- > 0;) {
+      suffix[i] = suffix[i + 1] + session_->ub_src[i];
     }
   }
   std::optional<graph::csr_graph> toggled;
   double acc = 0.0;
-  for (std::size_t i = 0; i < ses.plan.sources.size(); ++i) {
-    const graph::node_id s = ses.plan.sources[i];
+  for (std::size_t i = 0; i < plan_.sources.size(); ++i) {
+    const graph::node_id s = plan_.sources[i];
     const auto w = [&rows](graph::node_id a, graph::node_id b) {
       return rows.row(a)[b];
     };
-    if (ses.affected[i]) {
+    if (session_ && !session_->affected[i]) {
+      graph::source_dependencies(session_->cache->view, *session_->dag[i], s,
+                                 w, delta_);
+      ++stats.accumulations;
+    } else {
       if (bounding) {
         const double potential = provider_.b_of(u_) * (acc + suffix[i]) - fees - cost;
         const double margin = 1e-6 + 1e-9 * std::abs(potential);
@@ -367,15 +384,11 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
         }
       }
       if (!toggled) toggled = graph::freeze(work_);
-      graph::shortest_path_dag(*toggled, s, ses.resweep);
-      graph::source_dependencies(*toggled, ses.resweep, s, w, ses.delta);
-      ++stats.resweeps;
-    } else {
-      graph::source_dependencies(ses.cache->view, *ses.dag[i], s, w,
-                                 ses.delta);
-      ++stats.accumulations;
+      graph::shortest_path_dag(*toggled, s, resweep_);
+      graph::source_dependencies(*toggled, resweep_, s, w, delta_);
+      ++(session_ ? stats.resweeps : stats.full_sweeps);
     }
-    acc += ses.plan.scale * ses.delta[u_];
+    acc += plan_.scale * delta_[u_];
   }
   const double revenue = provider_.b_of(u_) * acc;
   toggle_diff(set, /*on=*/false);

@@ -1,9 +1,12 @@
-// Toggle-aware incremental utility evaluation (the arena's hot path).
+// Toggle-aware utility evaluation: the arena's one evaluation path.
 //
 // Every oracle candidate is a tiny set of channel toggles against the
-// activation's base graph, yet the full evaluation path re-runs a complete
-// Brandes / Brandes–Pich sweep per candidate. candidate_evaluator exploits
-// the toggle structure per oracle call (DESIGN.md §8):
+// activation's base graph. candidate_evaluator prices each one with the
+// same Brandes accumulation the sweep engine runs, over the source plan of
+// graph::betweenness_source_plan, in ascending source order. In full mode
+// that is all it does: every plan source is re-swept on one freeze of the
+// toggled graph. Incremental mode exploits the toggle structure per oracle
+// call (DESIGN.md §8):
 //
 //   1. SHARED-PIVOT REUSE — the pivot SSSP forest of the base graph is
 //      built at most once per activation (the pivot set of
@@ -28,11 +31,12 @@
 //      without a single sweep. Sound because oracle comparisons are strict
 //      and the bound is only consumed BELOW the acceptance threshold.
 //
-// Both provider modes run through this class: full mode degenerates to the
-// historical toggle-and-evaluate loop (provider.evaluate on the scratch
-// graph), so the oracles have exactly one evaluation seam. Results are
-// BIT-IDENTICAL between modes — pinned by tests/arena_incremental_test.cpp
-// and the toggle-sequence sections of graph_betweenness_property_test.
+// The mode only switches the forest, the affected-source classification
+// and the bounds on or off; the fee BFS, the infinite-fee short cut and
+// the exact merge are shared code. Results are BIT-IDENTICAL between modes
+// and to topology::node_utility under the exact backend — pinned by
+// tests/arena_incremental_test.cpp, tests/arena_engine_test.cpp and the
+// toggle-sequence sections of graph_betweenness_property_test.
 
 #ifndef LCG_ARENA_INCREMENTAL_H
 #define LCG_ARENA_INCREMENTAL_H
@@ -43,6 +47,7 @@
 #include <vector>
 
 #include "arena/provider.h"
+#include "graph/betweenness.h"
 #include "graph/digraph.h"
 #include "graph/traversal.h"
 
@@ -53,28 +58,34 @@ namespace lcg::arena {
 /// The scratch graph holds u's existing own channels (active — the RESTING
 /// state is the base graph) plus one DEACTIVATED edge pair per candidate
 /// addition; evaluating a set toggles only the symmetric difference to the
-/// base configuration around the provider call. Construction cost is
-/// O(|own| + |adds|) slots; no sweep happens until the first evaluation.
+/// base configuration around each evaluation. Construction cost is
+/// O(|own| + |adds|) slots plus the source plan; no sweep happens until the
+/// first evaluation.
 class candidate_evaluator {
  public:
-  /// `own` = u's current own peers, `adds` = candidate new peers (both as
-  /// the oracles produce them). The provider's mode selects the path.
+  /// `own` = u's current own peers (sorted), `adds` = candidate new peers
+  /// (both as the oracles produce them). Every add must be a new channel:
+  /// not u, not repeated, and not already connected to u in either
+  /// direction (precondition_error otherwise). The provider's mode selects
+  /// whether the incremental machinery runs.
   candidate_evaluator(const utility_provider& provider,
                       const graph::digraph& base, graph::node_id u,
                       const std::vector<graph::node_id>& own,
                       const std::vector<graph::node_id>& adds);
   ~candidate_evaluator();
 
-  /// U_u(base) — in incremental mode served from the session forest with
-  /// zero fresh sweeps beyond the forest itself; bitwise equal to
-  /// provider.evaluate(base, u).total in both modes.
+  /// U_u(base) — bitwise equal to topology::node_utility(base, u).total
+  /// under the exact backend, in both modes. Incremental mode serves it
+  /// from the session forest with zero fresh sweeps beyond the forest
+  /// itself; full mode sweeps every plan source on one freeze of the base
+  /// graph.
   [[nodiscard]] double base_value();
 
   /// Utility of `u` with exactly the channels to `set` active. In
   /// incremental mode a candidate whose upper bound cannot exceed the
   /// current threshold returns that bound (a value <= threshold) without
-  /// sweeping; otherwise the returned value is bitwise equal to the full
-  /// path's. Counts one logical provider evaluation either way.
+  /// sweeping; otherwise the returned value is bitwise equal to full
+  /// mode's. Counts one logical provider evaluation either way.
   [[nodiscard]] double evaluate(const std::vector<graph::node_id>& set);
 
   /// Pruning threshold: candidates that cannot strictly exceed it may be
@@ -98,6 +109,9 @@ class candidate_evaluator {
   std::vector<graph::node_id> peers_;  // own + adds, slot-table order
   std::vector<std::pair<graph::edge_id, graph::edge_id>> pairs_;
   double threshold_;
+  graph::source_plan plan_;            // sources and rescale of every sweep
+  std::vector<double> delta_;          // accumulation scratch
+  graph::sp_dag resweep_;              // re-sweep scratch (buffers kept)
   std::unique_ptr<session> session_;   // null in full mode
 };
 

@@ -87,10 +87,10 @@ struct ledger_mirror {
 };
 
 /// Adds a finished run's sweep ledger to the process-wide arena/* obs
-/// counters (the names bench_arena's records use). The incremental-only
-/// counters are created only by runs that evaluated incrementally — each
-/// such evaluation runs at least one support BFS — so a full-mode trace
-/// lists none of them.
+/// counters (the names bench_arena's records use). The evaluator counters
+/// are created only by runs that priced candidates through
+/// candidate_evaluator — each evaluation runs at least one support BFS, the
+/// fee BFS — so a brute-oracle trace lists none of them.
 void publish_sweeps(const sweep_stats& st) {
   if (!obs::enabled()) return;
   obs::registry& reg = obs::registry::global();

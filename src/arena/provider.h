@@ -1,24 +1,28 @@
-// The arena's pluggable utility provider.
+// The arena's utility provider: game parameters, backend rules and ledgers.
 //
 // Every best-response evaluation bottoms out in the Section IV utility
 // U_u = E_rev_u - E_fees_u - cost_u (topology/game.h). At population scale
-// the dominant term is E_rev_u — a weighted node-betweenness sweep — so the
-// provider routes it through graph/betweenness.h's multi-backend engine:
+// the dominant term is E_rev_u — a weighted node-betweenness sweep — and
+// the provider fixes which sources that sweep visits:
 //
-//   * n <= exact_threshold  -> the exact PARALLEL backend (bit-identical to
-//     serial for any thread budget, so runner byte-identity holds), and
-//   * n >  exact_threshold  -> the Brandes–Pich SAMPLED estimator with a
+//   * n <= exact_threshold  -> every source (the exact backend), and
+//   * n >  exact_threshold  -> the Brandes–Pich SAMPLED pivot set with a
 //     fixed pivot-stream seed (Brandes & Pich 2007: k pivots rescaled by
 //     population/k, which keeps the estimate unbiased). The population is
-//     all n nodes for whole-graph sweeps (n/k — the factor CHANGES.md's
-//     PR 2 entry describes) and the n - 1 sources != u for
-//     node_betweenness_of ((n-1)/k — the factor used here); the property
-//     harness pins both. Each evaluation drops from O(n(n+m)) to O(k(n+m)).
+//     all n nodes for whole-graph sweeps (n/k) and the n - 1 sources != u
+//     for a single node's utility ((n-1)/k); the property harness pins
+//     both. Each evaluation drops from O(n(n+m)) to O(k(n+m)).
+//
+// The provider itself runs one computation: node_scores, the whole-graph
+// ranking sweep of the move oracles. Utilities are priced by
+// arena::candidate_evaluator (arena/incremental.h), which sweeps the same
+// source plan (graph::betweenness_source_plan) on the caller's thread and
+// reads the provider's parameters, rank-mass table and ledgers.
 //
 // p_trans rows are materialised lazily per evaluation: the sampled backend
 // touches only its pivot sources, so at 10^3+ nodes the O(n^2) probability
 // matrix of topology::node_utility never needs to exist. With the exact
-// backend the provider is BIT-IDENTICAL to topology::node_utility for the
+// backend a utility is BIT-IDENTICAL to topology::node_utility for the
 // keep_sender_edges ranking basis (tests pin this); the sampled backend
 // trades exactness for scale, deterministically under the fixed seed.
 
@@ -33,6 +37,7 @@
 #include "core/params.h"
 #include "dist/zipf.h"
 #include "graph/betweenness.h"
+#include "graph/properties.h"
 #include "topology/game.h"
 
 namespace lcg::arena {
@@ -47,17 +52,17 @@ struct base_dag_cache;  // arena/incremental.cpp
 /// (runner/scenarios.cpp documents the distinction at both sites).
 inline constexpr std::size_t default_exact_threshold = 192;
 
-/// How evaluate() runs. Both modes return BIT-IDENTICAL results — the
-/// incremental path is an evaluation-order optimisation, never an
-/// approximation (tests pin utilities and whole arena runs byte-equal).
+/// How candidate_evaluator prices utilities. Both modes return
+/// BIT-IDENTICAL results — the incremental path is an evaluation-order
+/// optimisation, never an approximation (tests pin utilities and whole
+/// arena runs byte-equal).
 ///
-///  * full        — every evaluation sweeps all plan sources from scratch.
-///  * incremental — oracle activations open an arena::toggle_session that
-///    caches the base graph's per-source DAGs once, re-sweeps only sources
-///    the candidate's edge toggles can affect (graph::toggle_affects_source)
-///    and prunes candidates whose utility upper bound cannot beat the
-///    incumbent (DESIGN.md §8). Falls back to full sweeps per source
-///    whenever the predicate says the DAG may change.
+///  * full        — every evaluation sweeps all plan sources from scratch,
+///    on one freeze of the evaluated graph.
+///  * incremental — oracle activations cache the base graph's per-source
+///    DAGs once, re-sweep only sources the candidate's edge toggles can
+///    affect (graph::toggle_affects_source) and prune candidates whose
+///    utility upper bound cannot beat the incumbent (DESIGN.md §8).
 enum class provider_mode { full, incremental };
 
 /// Parses "full" / "incremental"; throws precondition_error otherwise
@@ -70,12 +75,13 @@ struct provider_options {
   std::size_t exact_threshold = default_exact_threshold;
   /// Pivot count of the sampled backend above the threshold.
   std::size_t pivots = 32;
-  /// Worker threads for the exact parallel / sampled backends (never
-  /// changes results; forwarded from scenario_context::threads()).
+  /// Worker threads of node_scores' sweep (never changes results;
+  /// forwarded from scenario_context::threads()). Utility evaluations
+  /// always sweep on the calling thread.
   std::size_t threads = 1;
   /// Seed of the sampled backend's pivot stream (splitmix64-expanded).
   std::uint64_t seed = 0;
-  /// Evaluation path; results are bitwise mode-independent.
+  /// candidate_evaluator's path; results are bitwise mode-independent.
   provider_mode mode = provider_mode::full;
 };
 
@@ -83,14 +89,14 @@ struct provider_options {
 /// constructions betweenness work actually performed ("effective source
 /// sweeps" — the metric BENCH_arena.json tracks), split by origin. Cheap
 /// O(n + m) accumulations over cached DAGs and the auxiliary plain BFS
-/// passes of the bound machinery are tallied separately — they are not
+/// passes (fees, bound cones) are tallied separately — they are not
 /// sweeps.
 struct sweep_stats {
-  std::uint64_t full_sweeps = 0;     ///< full-mode per-evaluation sweeps
+  std::uint64_t full_sweeps = 0;     ///< node_scores + full-mode sweeps
   std::uint64_t forest = 0;          ///< session base-forest constructions
   std::uint64_t resweeps = 0;        ///< affected-source re-sweeps
   std::uint64_t accumulations = 0;   ///< cached-DAG reuses (no BFS)
-  std::uint64_t support_bfs = 0;     ///< endpoint BFS for bounds/fees
+  std::uint64_t support_bfs = 0;     ///< fee BFS + incremental bound BFS
   std::uint64_t pruned = 0;          ///< candidates discarded bound-only
   std::uint64_t truncated = 0;       ///< exact phases cut short mid-merge
   [[nodiscard]] std::uint64_t effective_sweeps() const noexcept {
@@ -102,9 +108,8 @@ struct sweep_stats {
 /// its pivot sources (plus the evaluated node's own row for E_fees), so
 /// computing rows on demand keeps an evaluation at O(m + k * n) — one O(m)
 /// in-degree pass at construction, then O(n + deg u) per row
-/// (dist::sender_row) — instead of the O(n^2) full matrix. Shared with
-/// arena/incremental.cpp so both evaluation paths materialise
-/// byte-identical rows.
+/// (dist::sender_row) — instead of the O(n^2) full matrix. node_scores and
+/// candidate_evaluator both read rows through it.
 ///
 /// Rows reflect the graph as it was at construction: keep `g` unchanged
 /// while the object is alive. row() may run on the betweenness backend's
@@ -119,7 +124,7 @@ class lazy_prob_rows {
                  dist::rank_basis basis,
                  const std::vector<char>* active = nullptr)
       : g_(g), masses_(masses), basis_(basis), active_(active),
-        in_deg_(dist::in_degrees(g)), rows_(g.node_count()),
+        in_deg_(graph::in_degrees(g)), rows_(g.node_count()),
         ready_(g.node_count(), 0) {}
 
   const std::vector<double>& row(graph::node_id u) const {
@@ -218,11 +223,6 @@ class utility_provider {
     return n > options_.exact_threshold;
   }
 
-  /// U_u on `g` under the provider's backend rules. Exact-backend results
-  /// match topology::node_utility bit for bit (keep_sender_edges basis).
-  [[nodiscard]] topology::utility_breakdown evaluate(const graph::digraph& g,
-                                                     graph::node_id u) const;
-
   /// Demand-weighted node betweenness of every node (one sweep, same
   /// backend rules) — the candidate-ranking signal of the move oracles.
   [[nodiscard]] std::vector<double> node_scores(const graph::digraph& g) const;
@@ -238,8 +238,8 @@ class utility_provider {
   /// Physical sweep ledger (see sweep_stats). Grows in both modes.
   [[nodiscard]] const sweep_stats& stats() const noexcept { return stats_; }
 
-  /// Hooks for arena/incremental.cpp (the toggle_session mutates the shared
-  /// ledgers through its provider reference).
+  /// Hooks for arena/incremental.cpp (candidate_evaluator mutates the
+  /// shared ledgers through its provider reference).
   void count_logical_evaluation() const noexcept { ++evaluations_; }
   [[nodiscard]] sweep_stats& mutable_stats() const noexcept { return stats_; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "graph/properties.h"
 #include "util/error.h"
 
 namespace lcg::dist {
@@ -59,12 +60,6 @@ std::vector<double> zipf_rank_masses(std::size_t n, double s) {
   for (std::size_t r = 1; r <= n; ++r)
     masses[r - 1] = std::pow(static_cast<double>(r), -s);
   return masses;
-}
-
-std::vector<std::size_t> in_degrees(const graph::digraph& g) {
-  std::vector<std::size_t> deg(g.node_count());
-  for (graph::node_id v = 0; v < g.node_count(); ++v) deg[v] = g.in_degree(v);
-  return deg;
 }
 
 std::vector<double> sender_row(const graph::digraph& g,
@@ -124,13 +119,13 @@ std::vector<double> transaction_probabilities(const graph::digraph& g,
                                               rank_basis basis,
                                               const std::vector<char>* active) {
   LCG_EXPECTS(g.has_node(u));
-  return sender_row(g, in_degrees(g), u, basis, active,
+  return sender_row(g, graph::in_degrees(g), u, basis, active,
                     zipf_rank_masses(g.node_count(), s));
 }
 
 std::vector<std::vector<double>> transaction_probability_matrix(
     const graph::digraph& g, double s, rank_basis basis) {
-  const std::vector<std::size_t> in_deg = in_degrees(g);
+  const std::vector<std::size_t> in_deg = graph::in_degrees(g);
   const std::vector<double> masses = zipf_rank_masses(g.node_count(), s);
   std::vector<std::vector<double>> rows(g.node_count());
   for (graph::node_id u = 0; u < g.node_count(); ++u)
@@ -140,7 +135,7 @@ std::vector<std::vector<double>> transaction_probability_matrix(
 
 std::vector<double> newcomer_transaction_probabilities(
     const graph::digraph& g, double s) {
-  return sender_row(g, in_degrees(g), graph::invalid_node,
+  return sender_row(g, graph::in_degrees(g), graph::invalid_node,
                     rank_basis::keep_sender_edges, nullptr,
                     zipf_rank_masses(g.node_count(), s));
 }

@@ -33,14 +33,11 @@ enum class rank_basis {
 /// once and shares it read-only; a table longer than a row needs is fine.
 [[nodiscard]] std::vector<double> zipf_rank_masses(std::size_t n, double s);
 
-/// Active in-degree of every node: the one O(m) pass a graph state needs
-/// before any number of sender_row calls.
-[[nodiscard]] std::vector<std::size_t> in_degrees(const graph::digraph& g);
-
 /// The p_trans row builder every entry point below calls. Ranks the
 /// receivers of sender `u` — every node when `u` is invalid_node (the
-/// newcomer view) — given `in_deg` == in_degrees(g) for the current graph
-/// state and `masses` == zipf_rank_masses(k, s) with k >= the node count.
+/// newcomer view) — given `in_deg` == graph::in_degrees(g) for the current
+/// graph state (one O(m) pass serves any number of calls) and `masses` ==
+/// zipf_rank_masses(k, s) with k >= the node count.
 /// drop_sender_edges is applied as a decrement over u's active out-edges;
 /// ranking is a counting pass over the integer degrees and each tie block
 /// sums its masses in ascending rank order, so rows are bitwise equal to a

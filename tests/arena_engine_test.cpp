@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "arena/engine.h"
+#include "arena/incremental.h"
 #include "runner/fixtures.h"
 #include "topology/dynamics.h"
 #include "topology/game.h"
@@ -73,42 +74,56 @@ TEST(ArenaEquivalence, BruteOracleReproducesCertifiedDynamicsOutcomes) {
 
 // --- provider -------------------------------------------------------------
 
+/// U_u(g) through the arena's evaluation path: a candidate_evaluator over
+/// u's owned channels with no candidate additions.
+double evaluated_utility(const utility_provider& provider,
+                         const graph::digraph& g, graph::node_id u) {
+  const strategy_state state(g);
+  return candidate_evaluator(provider, g, u, state.owned(u), {}).base_value();
+}
+
 TEST(UtilityProvider, ExactBackendMatchesNodeUtilityBitForBit) {
-  // Below the threshold the provider is the exact parallel backend, which
-  // is bit-identical to the serial sweep topology::node_utility runs — so
-  // every component of the breakdown must match exactly, for every node.
+  // Below the threshold the evaluator sweeps every source in ascending
+  // order, the float sequence of the serial sweep topology::node_utility
+  // runs — so the utility must match exactly, for every node, in both
+  // provider modes.
   const graph::digraph g = start_graph("ba", 24);
   const topology::game_params p = params_with_l(0.7);
-  provider_options opts;
-  opts.exact_threshold = 100;  // 24 <= 100: exact
-  opts.threads = 4;            // must not change results
-  const utility_provider provider(p, opts);
-  for (graph::node_id u = 0; u < g.node_count(); ++u) {
-    const topology::utility_breakdown got = provider.evaluate(g, u);
-    const topology::utility_breakdown expected = topology::node_utility(g, u, p);
-    EXPECT_EQ(got.revenue, expected.revenue) << u;
-    EXPECT_EQ(got.fees, expected.fees) << u;
-    EXPECT_EQ(got.cost, expected.cost) << u;
-    EXPECT_EQ(got.total, expected.total) << u;
+  for (const provider_mode mode :
+       {provider_mode::full, provider_mode::incremental}) {
+    provider_options opts;
+    opts.exact_threshold = 100;  // 24 <= 100: exact
+    opts.threads = 4;            // must not change results
+    opts.mode = mode;
+    const utility_provider provider(p, opts);
+    for (graph::node_id u = 0; u < g.node_count(); ++u) {
+      EXPECT_EQ(evaluated_utility(provider, g, u),
+                topology::node_utility(g, u, p).total)
+          << provider_mode_name(mode) << " u=" << u;
+    }
+    EXPECT_EQ(provider.evaluations(), g.node_count());
   }
-  EXPECT_EQ(provider.evaluations(), g.node_count());
 }
 
 TEST(UtilityProvider, SampledBackendCoveringAllPivotsIsExact) {
   // sample_pivots >= population degenerates to the exact sweep
   // (graph/betweenness.h), so a "sampled" provider with enough pivots must
-  // agree with the exact one even above the threshold.
+  // agree with the exact one even above the threshold, in both modes.
   const graph::digraph g = start_graph("ws", 30);
   const topology::game_params p = params_with_l(1.0);
-  provider_options sampled;
-  sampled.exact_threshold = 0;  // always sampled
-  sampled.pivots = g.node_count();
-  sampled.seed = 99;
-  const utility_provider provider(p, sampled);
-  for (const graph::node_id u : {0u, 7u, 29u}) {
-    const topology::utility_breakdown got = provider.evaluate(g, u);
-    const topology::utility_breakdown expected = topology::node_utility(g, u, p);
-    EXPECT_EQ(got.total, expected.total) << u;
+  for (const provider_mode mode :
+       {provider_mode::full, provider_mode::incremental}) {
+    provider_options sampled;
+    sampled.exact_threshold = 0;  // always sampled
+    sampled.pivots = g.node_count();
+    sampled.seed = 99;
+    sampled.mode = mode;
+    const utility_provider provider(p, sampled);
+    for (graph::node_id u = 0; u < g.node_count(); ++u) {
+      EXPECT_EQ(evaluated_utility(provider, g, u),
+                topology::node_utility(g, u, p).total)
+          << provider_mode_name(mode) << " u=" << u;
+    }
   }
 }
 

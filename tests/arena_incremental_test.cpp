@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "arena/engine.h"
 #include "graph/generators.h"
 #include "topology/dynamics.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace lcg::arena {
@@ -46,6 +48,16 @@ arena_result run_mode(const graph::digraph& start, oracle_kind oracle,
   options.provider.seed = seed ^ 0x7c63f8d1905bb7a3ULL;
   options.provider.mode = mode;
   return run_arena(start, params, options);
+}
+
+/// Nodes other than u with no channel to u, ascending.
+std::vector<graph::node_id> non_neighbours(const strategy_state& state,
+                                           graph::node_id u) {
+  std::vector<graph::node_id> out;
+  for (graph::node_id v = 0; v < state.player_count(); ++v) {
+    if (v != u && !state.connected(u, v)) out.push_back(v);
+  }
+  return out;
 }
 
 /// Every observable of the two runs must agree; utilities bit for bit.
@@ -109,15 +121,21 @@ TEST(IncrementalMode, SweepLedgerAccountsEveryPath) {
       run_mode(start, oracle_kind::local, activation_order::round_robin, 0,
                provider_mode::incremental, 5);
   // Incremental runs build forests and reuse them; the full-sweep counter
-  // only grows through node_scores (which stays on the full path).
+  // only grows through node_scores.
   EXPECT_GT(inc.sweeps.forest, 0u);
   EXPECT_GT(inc.sweeps.accumulations, 0u);
+  // Full mode skips the forest, the classification and the bounds: every
+  // evaluation runs exactly one BFS (the fee BFS) and nothing is reused,
+  // pruned or truncated.
   const arena_result full =
       run_mode(start, oracle_kind::local, activation_order::round_robin, 0,
                provider_mode::full, 5);
+  EXPECT_EQ(full.sweeps.support_bfs, full.evaluations);
   EXPECT_EQ(full.sweeps.forest, 0u);
   EXPECT_EQ(full.sweeps.resweeps, 0u);
+  EXPECT_EQ(full.sweeps.accumulations, 0u);
   EXPECT_EQ(full.sweeps.pruned, 0u);
+  EXPECT_EQ(full.sweeps.truncated, 0u);
   EXPECT_GT(full.sweeps.full_sweeps, inc.sweeps.full_sweeps);
 }
 
@@ -141,14 +159,17 @@ TEST(IncrementalMode, EvaluatorMatchesProviderPerCandidate) {
     strategy_state state(start);
     const graph::node_id u = 5;
     const std::vector<graph::node_id> own = state.owned(u);
-    const std::vector<graph::node_id> adds = {0, 9, 13};
+    const std::vector<graph::node_id> far = non_neighbours(state, u);
+    ASSERT_GE(far.size(), 3u);
+    const std::vector<graph::node_id> adds = {far.front(),
+                                              far[far.size() / 2], far.back()};
     candidate_evaluator full_eval(full, state.graph(), u, own, adds);
     candidate_evaluator inc_eval(inc, state.graph(), u, own, adds);
 
     EXPECT_EQ(full_eval.base_value(), inc_eval.base_value());
     std::vector<std::vector<graph::node_id>> sets = {
-        {}, {0}, {9, 13}, adds};
-    for (const graph::node_id kept : own) sets.push_back({kept, 0});
+        {}, {adds[0]}, {adds[1], adds[2]}, adds};
+    for (const graph::node_id kept : own) sets.push_back({kept, adds[0]});
     if (!own.empty()) {
       std::vector<graph::node_id> drop_first(own.begin() + 1, own.end());
       sets.push_back(drop_first);
@@ -158,6 +179,44 @@ TEST(IncrementalMode, EvaluatorMatchesProviderPerCandidate) {
           << "set size " << set.size() << " threshold " << threshold;
     }
     EXPECT_EQ(full.evaluations(), inc.evaluations());
+  }
+}
+
+TEST(IncrementalMode, EvaluatorRejectsAddsThatAreNotNewChannels) {
+  // An add that is u itself, repeats, or already has a channel with u (own
+  // or counterparty-owned) would price a parallel channel pair no oracle
+  // produces; the evaluator refuses it in both modes.
+  const graph::digraph start = make_start("ws", 18, 3);
+  strategy_state state(start);
+  const graph::node_id u = 5;
+  const std::vector<graph::node_id> own = state.owned(u);
+  const std::vector<graph::node_id> far = non_neighbours(state, u);
+  ASSERT_FALSE(own.empty());
+  ASSERT_FALSE(far.empty());
+  std::vector<std::vector<graph::node_id>> bad = {
+      {u}, {far[0], far[0]}, {far[0], own[0]}};
+  for (graph::node_id v = 0; v < start.node_count(); ++v) {
+    if (state.connected(u, v) &&
+        !std::binary_search(own.begin(), own.end(), v)) {
+      bad.push_back({v});  // a counterparty-owned channel
+      break;
+    }
+  }
+  ASSERT_EQ(bad.size(), 4u);
+  topology::game_params params;
+  for (const provider_mode mode :
+       {provider_mode::full, provider_mode::incremental}) {
+    provider_options opts;
+    opts.mode = mode;
+    const utility_provider provider(params, opts);
+    for (const std::vector<graph::node_id>& adds : bad) {
+      EXPECT_THROW(
+          candidate_evaluator(provider, state.graph(), u, own, adds),
+          precondition_error)
+          << provider_mode_name(mode) << " first add " << adds[0];
+    }
+    EXPECT_NO_THROW(
+        candidate_evaluator(provider, state.graph(), u, own, far));
   }
 }
 

@@ -4,8 +4,10 @@
 # This script runs all three with --smoke, pins the keys of every record
 # (top level and "obs") in the smoke output and in the committed
 # BENCH_*.json, checks that the smoke output covers every backend, family,
-# oracle and mode, and that the committed BENCH_arena.json holds churn runs
-# (one at n >= 120) that converged with joins, leaves and a zero deposit gap.
+# oracle and mode, that the committed BENCH_arena.json holds churn runs
+# (one at n >= 120) that converged with joins, leaves and a zero deposit gap,
+# and that every smoke arena record sharing (family, n, oracle, mode) with a
+# committed one equals it in every work counter.
 
 cmake_minimum_required(VERSION 3.20)
 
@@ -137,5 +139,68 @@ if(churn_max_n LESS 120)
           "n ${churn_max_n}; expected a churn record at n >= 120")
 endif()
 
+# Work-counter gate: every smoke arena record whose (family, n, oracle,
+# mode) is also committed equals the committed record in every field, obs
+# included, except the host-dependent wall_ms, evals_per_ms and
+# host_hw_threads. The arena is deterministic, so any drift in rounds,
+# moves, evaluations or the sweep ledger fails here.
+set(smoke "${WORK_DIR}/BENCH_arena.json")
+file(READ "${smoke}" smoke_json)
+string(JSON smoke_count LENGTH "${smoke_json}")
+math(EXPR smoke_last "${smoke_count} - 1")
+set(pinned 0)
+foreach(i RANGE ${smoke_last})
+  string(JSON got GET "${smoke_json}" ${i})
+  foreach(j RANGE ${last})
+    string(JSON want GET "${json}" ${j})
+    set(same_config TRUE)
+    foreach(field family n oracle mode)
+      string(JSON ${field} GET "${got}" ${field})
+      string(JSON b GET "${want}" ${field})
+      if(NOT ${field} STREQUAL b)
+        set(same_config FALSE)
+        break()
+      endif()
+    endforeach()
+    if(NOT same_config)
+      continue()
+    endif()
+    # Both records passed the key check above, so their members match.
+    set(diffs "")
+    members(keys "${want}")
+    list(REMOVE_ITEM keys wall_ms evals_per_ms host_hw_threads obs)
+    foreach(key ${keys})
+      string(JSON a GET "${got}" ${key})
+      string(JSON b GET "${want}" ${key})
+      if(NOT a STREQUAL b)
+        list(APPEND diffs "${key} ${b} -> ${a}")
+      endif()
+    endforeach()
+    string(JSON got_obs GET "${got}" obs)
+    string(JSON want_obs GET "${want}" obs)
+    members(keys "${want_obs}")
+    foreach(key ${keys})
+      string(JSON a GET "${got_obs}" ${key})
+      string(JSON b GET "${want_obs}" ${key})
+      if(NOT a STREQUAL b)
+        list(APPEND diffs "obs ${key} ${b} -> ${a}")
+      endif()
+    endforeach()
+    if(diffs)
+      list(JOIN diffs "; " diffs)
+      message(FATAL_ERROR "smoke arena record ${i} (${family} n=${n} "
+              "${oracle} ${mode}) differs from ${committed} record ${j} "
+              "(committed -> smoke): ${diffs}")
+    endif()
+    math(EXPR pinned "${pinned} + 1")
+    break()
+  endforeach()
+endforeach()
+if(pinned EQUAL 0)
+  message(FATAL_ERROR "no smoke arena record shares (family, n, oracle, "
+          "mode) with ${committed}; the work-counter gate pins nothing")
+endif()
+
 message(STATUS "bench_artifacts: smoke runs exit 0, record keys pinned, "
-        "${churn_records} committed churn records up to n=${churn_max_n}")
+        "${churn_records} committed churn records up to n=${churn_max_n}, "
+        "${pinned} smoke arena records equal to their committed twins")
