@@ -8,6 +8,7 @@
 
 #include "graph/betweenness.h"
 #include "graph/csr.h"
+#include "graph/properties.h"
 #include "graph/traversal.h"
 #include "topology/game.h"
 #include "util/error.h"
@@ -43,25 +44,37 @@ struct base_dag_cache {
 
 /// Incremental-mode cached state, all relative to the RESTING (base) graph:
 /// the SSSP forest of the plan sources (pointers into the provider-level
-/// cache), per-source through-fractions at u, and base BFS distance arrays
-/// from u and toggled peers (the bound cones).
+/// cache), per-source cone lists and through-fractions at u, and base BFS
+/// distance arrays from u and toggled peers (the bound cones), plus the
+/// bound phase's per-candidate scratch.
 struct candidate_evaluator::session {
   std::shared_ptr<base_dag_cache> cache;
-  std::vector<const graph::sp_dag*> dag;   // parallel to plan_.sources
-  std::vector<std::vector<double>> frac;   // parallel to plan_.sources
-  std::vector<char> frac_ready;
-  std::unordered_map<graph::node_id, std::vector<std::int32_t>> peer_dist;
-  std::vector<char> affected;              // per-candidate scratch
-  std::vector<double> ub_src;              // per-source bound contributions
+  std::vector<const graph::sp_dag*> dag;    // parallel to plan_.sources
+  std::vector<graph::dependency_cone> cone; // parallel to plan_.sources
+  std::vector<char> cone_ready;
+  // Parallel to plan_.sources, empty until built: through-fractions at u
+  // and their support (the t with frac[t] > 0).
+  std::vector<std::vector<double>> frac;
+  std::vector<std::vector<graph::node_id>> support;
+  // Base BFS rows by peer slot, the last slot u's own; empty until built.
+  std::vector<std::vector<std::int32_t>> peer_dist;
+  // Per-candidate scratch.
+  std::vector<graph::edge_toggle> toggles;
+  std::vector<char> affected;
+  std::vector<std::int64_t> exit_lb;
+  std::vector<double> ub_src;               // per-source bound contributions
+  std::vector<double> suffix;
 };
 
 candidate_evaluator::candidate_evaluator(
     const utility_provider& provider, const graph::digraph& base,
     graph::node_id u, const std::vector<graph::node_id>& own,
     const std::vector<graph::node_id>& adds)
-    : provider_(provider), work_(base), u_(u), own_(own),
-      threshold_(-inf) {
-  LCG_EXPECTS(std::is_sorted(own_.begin(), own_.end()));
+    : provider_(provider), work_(base), u_(u), own_count_(own.size()),
+      threshold_(-inf),
+      rows_(provider.params().basis, provider.active(),
+            provider.rank_masses(base.node_count())) {
+  LCG_EXPECTS(std::is_sorted(own.begin(), own.end()));
   for (const graph::node_id peer : own) {
     const graph::edge_id forward = work_.find_edge(u, peer);
     const graph::edge_id reverse = work_.find_edge(peer, u);
@@ -89,8 +102,10 @@ candidate_evaluator::candidate_evaluator(
     peers_.push_back(peer);
     pairs_.emplace_back(forward, forward + 1);
   }
-  plan_ = graph::betweenness_source_plan(
-      work_.node_count(), provider_.backend_for(work_.node_count()), u_);
+  const std::size_t n = work_.node_count();
+  plan_ = graph::betweenness_source_plan(n, provider_.backend_for(n), u_);
+  rows_.assign(graph::in_degrees(work_));
+  row_buf_.resize((plan_.sources.size() + 1) * n);
   if (provider_.options().mode == provider_mode::incremental) {
     session_ = std::make_unique<session>();
     std::shared_ptr<base_dag_cache>& cache = provider_.mutable_dag_cache();
@@ -103,8 +118,11 @@ candidate_evaluator::candidate_evaluator(
     }
     session_->cache = cache;
     session_->dag.assign(plan_.sources.size(), nullptr);
+    session_->cone.resize(plan_.sources.size());
+    session_->cone_ready.assign(plan_.sources.size(), 0);
     session_->frac.resize(plan_.sources.size());
-    session_->frac_ready.assign(plan_.sources.size(), 0);
+    session_->support.resize(plan_.sources.size());
+    session_->peer_dist.resize(peers_.size() + 1);
     session_->affected.assign(plan_.sources.size(), 0);
   }
 }
@@ -127,64 +145,83 @@ const graph::sp_dag& candidate_evaluator::base_dag(std::size_t i) {
   return *ses.dag[i];
 }
 
+const graph::dependency_cone& candidate_evaluator::base_cone(std::size_t i) {
+  session& ses = *session_;
+  if (!ses.cone_ready[i]) {
+    graph::build_dependency_cone(ses.cache->view, base_dag(i), u_,
+                                 ses.cone[i]);
+    ses.cone_ready[i] = 1;
+  }
+  return ses.cone[i];
+}
+
+std::span<const double> candidate_evaluator::row(std::size_t i) const {
+  const std::size_t n = work_.node_count();
+  return {row_buf_.data() + i * n, n};
+}
+
+double candidate_evaluator::expected_fees() {
+  const std::size_t n = work_.node_count();
+  const std::span<double> own(row_buf_.data() + plan_.sources.size() * n, n);
+  rows_.row(work_, u_, own);
+  const std::vector<std::int32_t> dist_u = graph::bfs_distances(work_, u_);
+  ++provider_.mutable_stats().support_bfs;
+  return graph::expected_hop_cost(own, dist_u, 1, provider_.a_of(u_));
+}
+
+void candidate_evaluator::fill_rows() {
+  const std::size_t n = work_.node_count();
+  rows_.rows(work_, plan_.sources,
+             std::span<double>(row_buf_.data(), plan_.sources.size() * n));
+}
+
 candidate_evaluator::~candidate_evaluator() = default;
 
-void candidate_evaluator::toggle_diff(const std::vector<graph::node_id>& set,
-                                      bool on) {
-  const std::size_t own_count = own_.size();
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    const bool in_set = std::find(set.begin(), set.end(), peers_[i]) !=
-                        set.end();
-    // Own channels rest active, candidate additions rest inactive; only the
-    // symmetric difference to the base configuration flips.
-    const bool flip = i < own_count ? !in_set : in_set;
-    if (!flip) continue;
-    const auto& [forward, reverse] = pairs_[i];
-    const bool activate = (i < own_count) != on;
-    if (activate) {
+void candidate_evaluator::flip(bool on) {
+  // Own channels rest active, candidate additions rest inactive; only the
+  // symmetric difference to the base configuration flips. Each channel
+  // moves the in-degree of both its ends by one.
+  const auto set_channel = [&](std::size_t slot, bool active) {
+    const auto& [forward, reverse] = pairs_[slot];
+    if (active) {
       work_.restore_edge(forward);
       work_.restore_edge(reverse);
     } else {
       work_.remove_edge(forward);
       work_.remove_edge(reverse);
     }
-  }
+    rows_.shift(peers_[slot], active);
+    rows_.shift(u_, active);
+  };
+  for (const std::size_t slot : removed_) set_channel(slot, !on);
+  for (const std::size_t slot : added_) set_channel(slot, on);
 }
 
 double candidate_evaluator::base_value() {
   provider_.count_logical_evaluation();
   sweep_stats& stats = provider_.mutable_stats();
   const topology::game_params& p = provider_.params();
-  const lazy_prob_rows rows(work_, provider_.rank_masses(work_.node_count()),
-                            p.basis, provider_.active());
-  const auto w = [&rows](graph::node_id a, graph::node_id b) {
-    return rows.row(a)[b];
-  };
-
-  const std::vector<std::int32_t> dist_u = graph::bfs_distances(work_, u_);
-  ++stats.support_bfs;
-  const double fees =
-      graph::expected_hop_cost(rows.row(u_), dist_u, 1, provider_.a_of(u_));
+  const double fees = expected_fees();
+  fill_rows();
   const double cost = provider_.l_of(u_) * p.cost_share *
                       static_cast<double>(work_.out_degree(u_));
 
-  // Incremental mode accumulates over the session forest; full mode sweeps
-  // every plan source on one freeze of the resting graph.
+  // Incremental mode accumulates over the session forest's cones; full
+  // mode sweeps every plan source on one freeze of the resting graph.
   std::optional<graph::csr_graph> resting;
   if (!session_) resting = graph::freeze(work_);
   double acc = 0.0;
   for (std::size_t i = 0; i < plan_.sources.size(); ++i) {
-    const graph::node_id s = plan_.sources[i];
+    double delta_u = 0.0;
     if (session_) {
-      graph::source_dependencies(session_->cache->view, base_dag(i), s, w,
-                                 delta_);
+      delta_u = graph::cone_dependency(base_cone(i), row(i), cone_);
       ++stats.accumulations;
     } else {
-      graph::shortest_path_dag(*resting, s, resweep_);
-      graph::source_dependencies(*resting, resweep_, s, w, delta_);
+      delta_u = graph::sweep_dependency(*resting, plan_.sources[i], u_,
+                                        row(i), cone_);
       ++stats.full_sweeps;
     }
-    acc += plan_.scale * delta_[u_];
+    acc += plan_.scale * delta_u;
   }
   const double revenue = provider_.b_of(u_) * acc;
   return std::isinf(fees) ? -inf : revenue - fees - cost;
@@ -194,17 +231,19 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   provider_.count_logical_evaluation();
   sweep_stats& stats = provider_.mutable_stats();
   const topology::game_params& p = provider_.params();
+  const std::size_t n = work_.node_count();
   // Full mode skips the forest, the affected-source classification and
   // the bounds: every plan source counts as affected and is re-swept.
   const bool bounding = session_ && threshold_ > -inf;
 
   // The candidate's toggle set: channels leaving and joining u's own set.
-  std::vector<graph::node_id> removed, added;
+  removed_.clear();
+  added_.clear();
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     const bool in_set = std::find(set.begin(), set.end(), peers_[i]) !=
                         set.end();
-    if (i < own_.size() && !in_set) removed.push_back(peers_[i]);
-    if (i >= own_.size() && in_set) added.push_back(peers_[i]);
+    if (i < own_count_ && !in_set) removed_.push_back(i);
+    if (i >= own_count_ && in_set) added_.push_back(i);
   }
 
   // Incremental mode only: the base-graph cached state — the forest
@@ -214,36 +253,33 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   if (session_) {
     session& ses = *session_;
     for (std::size_t i = 0; i < plan_.sources.size(); ++i) base_dag(i);
-    const auto base_dist = [&](graph::node_id v) -> const auto& {
-      auto it = ses.peer_dist.find(v);
-      if (it == ses.peer_dist.end()) {
-        it = ses.peer_dist.emplace(v, graph::bfs_distances(work_, v)).first;
-        ++stats.support_bfs;
-      }
-      return it->second;
+    const auto base_dist = [&](std::size_t slot) {
+      if (!ses.peer_dist[slot].empty()) return;
+      const graph::node_id v = slot < peers_.size() ? peers_[slot] : u_;
+      ses.peer_dist[slot] = graph::bfs_distances(work_, v);
+      ++stats.support_bfs;
     };
     if (bounding) {
-      base_dist(u_);
-      for (const graph::node_id q : removed) base_dist(q);
-      for (const graph::node_id q : added) base_dist(q);
+      base_dist(peers_.size());
+      for (const std::size_t slot : removed_) base_dist(slot);
+      for (const std::size_t slot : added_) base_dist(slot);
     }
 
     // Classify which plan sources the toggles can affect (both orientations
     // of every toggled channel; OR over the toggle set is sound because a
     // FALSE verdict for every toggle pins the whole DAG bitwise).
-    std::vector<graph::edge_toggle> toggles;
-    toggles.reserve(2 * (removed.size() + added.size()));
-    for (const graph::node_id q : removed) {
-      toggles.push_back({u_, q, false});
-      toggles.push_back({q, u_, false});
+    ses.toggles.clear();
+    for (const std::size_t slot : removed_) {
+      ses.toggles.push_back({u_, peers_[slot], false});
+      ses.toggles.push_back({peers_[slot], u_, false});
     }
-    for (const graph::node_id q : added) {
-      toggles.push_back({u_, q, true});
-      toggles.push_back({q, u_, true});
+    for (const std::size_t slot : added_) {
+      ses.toggles.push_back({u_, peers_[slot], true});
+      ses.toggles.push_back({peers_[slot], u_, true});
     }
     for (std::size_t i = 0; i < plan_.sources.size(); ++i) {
       ses.affected[i] = 0;
-      for (const graph::edge_toggle& t : toggles) {
+      for (const graph::edge_toggle& t : ses.toggles) {
         if (graph::toggle_affects_source(ses.dag[i]->dist, t)) {
           ses.affected[i] = 1;
           break;
@@ -252,21 +288,17 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
     }
   }
 
-  toggle_diff(set, /*on=*/true);
-  const lazy_prob_rows rows(work_, provider_.rank_masses(work_.node_count()),
-                            p.basis, provider_.active());
-  const std::vector<std::int32_t> fee_dist = graph::bfs_distances(work_, u_);
-  ++stats.support_bfs;
-  const double fees =
-      graph::expected_hop_cost(rows.row(u_), fee_dist, 1, provider_.a_of(u_));
+  flip(/*on=*/true);
+  const double fees = expected_fees();
   const double cost = provider_.l_of(u_) * p.cost_share *
                       static_cast<double>(work_.out_degree(u_));
   if (std::isinf(fees)) {
     // total is -inf no matter what revenue is (base_value applies the
     // same guard), so no sweep is needed at all.
-    toggle_diff(set, /*on=*/false);
+    flip(/*on=*/false);
     return -inf;
   }
+  fill_rows();
 
   // --- Upper-bound pruning (DESIGN.md §8). All toggles are incident to u,
   // so any path changed by the candidate either uses an added channel (and
@@ -276,48 +308,49 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   // dot products only — not a single sweep.
   if (bounding) {
     session& ses = *session_;
-    const std::vector<std::int32_t>& du = ses.peer_dist.at(u_);
-    // The cones' BFS arrays, looked up once rather than per target.
-    std::vector<const std::vector<std::int32_t>*> added_dist, removed_dist;
-    for (const graph::node_id q : added)
-      added_dist.push_back(&ses.peer_dist.at(q));
-    for (const graph::node_id q : removed)
-      removed_dist.push_back(&ses.peer_dist.at(q));
+    const std::vector<std::int32_t>& du = ses.peer_dist[peers_.size()];
+    // Lower bound on the candidate's distance from u to t: exit u over
+    // base edges or through an added channel. Source-independent.
+    ses.exit_lb.resize(n);
+    for (graph::node_id t = 0; t < n; ++t) {
+      std::int64_t exit_lb = hops(du, t);
+      for (const std::size_t slot : added_) {
+        exit_lb = std::min(exit_lb, 1 + hops(ses.peer_dist[slot], t));
+      }
+      ses.exit_lb[t] = exit_lb;
+    }
     ses.ub_src.assign(plan_.sources.size(), 0.0);
     double ub_acc = 0.0;
     for (std::size_t i = 0; i < plan_.sources.size(); ++i) {
       const graph::node_id s = plan_.sources[i];
-      const std::vector<double>& w_row = rows.row(s);
-      if (!ses.frac_ready[i]) {
+      const std::span<const double> w_row = row(i);
+      if (ses.frac[i].empty()) {
         ses.frac[i] =
             graph::through_fractions(ses.cache->view, *ses.dag[i], u_);
-        ses.frac_ready[i] = 1;
+        for (graph::node_id t = 0; t < n; ++t)
+          if (ses.frac[i][t] > 0.0) ses.support[i].push_back(t);
       }
       const std::vector<double>& frac = ses.frac[i];
       const std::vector<std::int32_t>& ds = ses.dag[i]->dist;
       double dot = 0.0;
       if (!ses.affected[i]) {
-        for (graph::node_id t = 0; t < work_.node_count(); ++t) {
+        // Terms with frac[t] == 0 add +0.0 and are skipped.
+        for (const graph::node_id t : ses.support[i]) {
           dot += w_row[t] * frac[t];
         }
       } else {
         // Lower bound on the candidate's distance from s to u: enter u
         // either over base edges or through an added channel's far end.
         std::int64_t du_lb = hops(ds, u_);
-        for (const graph::node_id q : added) {
-          du_lb = std::min(du_lb, hops(ds, q) + 1);
+        for (const std::size_t slot : added_) {
+          du_lb = std::min(du_lb, hops(ds, peers_[slot]) + 1);
         }
-        for (graph::node_id t = 0; t < work_.node_count(); ++t) {
+        for (graph::node_id t = 0; t < n; ++t) {
           if (t == u_ || t == s || w_row[t] <= 0.0) continue;
-          // Exit u over base edges or through an added channel.
-          std::int64_t exit_lb = hops(du, t);
-          for (const std::vector<std::int32_t>* dq : added_dist) {
-            exit_lb = std::min(exit_lb, 1 + hops(*dq, t));
-          }
-          bool cone = du_lb + exit_lb <= hops(ds, t);
-          for (std::size_t r = 0; !cone && r < removed.size(); ++r) {
-            const graph::node_id q = removed[r];
-            const std::vector<std::int32_t>& dq = *removed_dist[r];
+          bool cone = du_lb + ses.exit_lb[t] <= hops(ds, t);
+          for (std::size_t r = 0; !cone && r < removed_.size(); ++r) {
+            const graph::node_id q = peers_[removed_[r]];
+            const std::vector<std::int32_t>& dq = ses.peer_dist[removed_[r]];
             cone = hops(ds, u_) + 1 + hops(dq, t) == hops(ds, t) ||
                    hops(ds, q) + 1 + hops(du, t) == hops(ds, t);
           }
@@ -336,7 +369,7 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
     const double margin = 1e-6 + 1e-9 * std::abs(ub_total);
     if (ub_total + margin <= threshold_) {
       ++stats.pruned;
-      toggle_diff(set, /*on=*/false);
+      flip(/*on=*/false);
       return ub_total;
     }
   }
@@ -344,9 +377,9 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   // --- Exact phase, shared by both modes. Sources merge in ascending order
   // with one scale-multiplied addition each, exactly the sweep engine's
   // sequence. Full mode re-sweeps every source; incremental mode re-sweeps
-  // only the affected ones and reuses the cached DAG bits on the base view
-  // for the rest. The toggled graph is frozen once, at the first source
-  // that needs a re-sweep and survives the truncation check.
+  // only the affected ones and replays the cached cone on the base view for
+  // the rest. The toggled graph is frozen once, at the first source that
+  // needs a re-sweep and survives the truncation check.
   //
   // Early termination (DESIGN.md §8): when bounding, each source's bound
   // contribution from the phase above dominates its exact contribution, so
@@ -355,8 +388,8 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   // re-sweeps cannot change the oracle's decision and the merge stops —
   // the returned partial bound sits below the strict acceptance cut just
   // like the true value would.
-  std::vector<double> suffix;
   if (bounding) {
+    std::vector<double>& suffix = session_->suffix;
     suffix.assign(plan_.sources.size() + 1, 0.0);
     for (std::size_t i = plan_.sources.size(); i-- > 0;) {
       suffix[i] = suffix[i + 1] + session_->ub_src[i];
@@ -365,33 +398,30 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   std::optional<graph::csr_graph> toggled;
   double acc = 0.0;
   for (std::size_t i = 0; i < plan_.sources.size(); ++i) {
-    const graph::node_id s = plan_.sources[i];
-    const auto w = [&rows](graph::node_id a, graph::node_id b) {
-      return rows.row(a)[b];
-    };
+    double delta_u = 0.0;
     if (session_ && !session_->affected[i]) {
-      graph::source_dependencies(session_->cache->view, *session_->dag[i], s,
-                                 w, delta_);
+      delta_u = graph::cone_dependency(base_cone(i), row(i), cone_);
       ++stats.accumulations;
     } else {
       if (bounding) {
-        const double potential = provider_.b_of(u_) * (acc + suffix[i]) - fees - cost;
+        const double potential =
+            provider_.b_of(u_) * (acc + session_->suffix[i]) - fees - cost;
         const double margin = 1e-6 + 1e-9 * std::abs(potential);
         if (potential + margin <= threshold_) {
           ++stats.truncated;
-          toggle_diff(set, /*on=*/false);
+          flip(/*on=*/false);
           return potential;
         }
       }
       if (!toggled) toggled = graph::freeze(work_);
-      graph::shortest_path_dag(*toggled, s, resweep_);
-      graph::source_dependencies(*toggled, resweep_, s, w, delta_);
+      delta_u = graph::sweep_dependency(*toggled, plan_.sources[i], u_, row(i),
+                                        cone_);
       ++(session_ ? stats.resweeps : stats.full_sweeps);
     }
-    acc += plan_.scale * delta_[u_];
+    acc += plan_.scale * delta_u;
   }
   const double revenue = provider_.b_of(u_) * acc;
-  toggle_diff(set, /*on=*/false);
+  flip(/*on=*/false);
   return revenue - fees - cost;
 }
 

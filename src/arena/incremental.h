@@ -1,11 +1,15 @@
 // Toggle-aware utility evaluation: the arena's one evaluation path.
 //
 // Every oracle candidate is a tiny set of channel toggles against the
-// activation's base graph. candidate_evaluator prices each one with the
-// same Brandes accumulation the sweep engine runs, over the source plan of
-// graph::betweenness_source_plan, in ascending source order. In full mode
-// that is all it does: every plan source is re-swept on one freeze of the
-// toggled graph. Incremental mode exploits the toggle structure per oracle
+// activation's base graph. candidate_evaluator prices each one by u's
+// Brandes dependency delta_s(u) alone, over the source plan of
+// graph::betweenness_source_plan, in ascending source order: the cone
+// kernels of graph/betweenness.h accumulate only u's descendant cone and
+// reproduce the sweep engine's delta_s(u) bit for bit. Weight rows come
+// from one dist::sender_rows per evaluation, whose in-degrees are the
+// resting graph's patched by the toggled channels. In full mode that is all
+// it does: every plan source is re-swept on one freeze of the toggled
+// graph. Incremental mode exploits the toggle structure per oracle
 // call (DESIGN.md §8):
 //
 //   1. SHARED-PIVOT REUSE — the pivot SSSP forest of the base graph is
@@ -18,9 +22,10 @@
 //      sources whose DAG the toggles can affect
 //      (graph::toggle_affects_source) are re-swept, on one freeze of the
 //      toggled graph taken at the first such source; all other sources
-//      reuse the cached DAG bits and re-run just the backward accumulation
-//      with the candidate's weight rows — bitwise equal to a fresh sweep
-//      because the DAG bits are provably unchanged. Pruned and truncated
+//      reuse the cached DAG bits and re-run just the cone accumulation
+//      (a per-source cone list built once per session) with the
+//      candidate's weight rows — bitwise equal to a fresh sweep because the
+//      DAG bits are provably unchanged. Pruned and truncated
 //      candidates never freeze.
 //   2. UPPER-BOUND PRUNING — before any sweep, a candidate's utility is
 //      bounded from above using weight-row dot products against cached
@@ -43,10 +48,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "arena/provider.h"
+#include "dist/zipf.h"
 #include "graph/betweenness.h"
 #include "graph/digraph.h"
 #include "graph/traversal.h"
@@ -95,23 +101,38 @@ class candidate_evaluator {
   void set_threshold(double threshold) noexcept { threshold_ = threshold; }
 
  private:
-  struct session;  // incremental-mode cached state (forest, fractions, BFS)
+  struct session;  // incremental-mode cached state (forest, cones, BFS)
 
-  void toggle_diff(const std::vector<graph::node_id>& set, bool on);
+  /// Flips the candidate's toggled channels (removed_ and added_) on or
+  /// back off, patching rows_' in-degrees to match.
+  void flip(bool on);
   /// Base DAG for plan source i — provider-cache hit or one forest sweep
   /// on the cached frozen view of the resting graph.
   const graph::sp_dag& base_dag(std::size_t i);
+  /// u's dependency cone in base_dag(i), built on first use.
+  const graph::dependency_cone& base_cone(std::size_t i);
+  /// E_fees of u in the work graph's current state; writes u's p_trans
+  /// row into the last row slot.
+  double expected_fees();
+  /// The p_trans rows of every plan source in the work graph's current
+  /// state, in one dist::sender_rows::rows batch.
+  void fill_rows();
+  /// Plan source i's p_trans row (after fill_rows).
+  [[nodiscard]] std::span<const double> row(std::size_t i) const;
 
   const utility_provider& provider_;
   graph::digraph work_;
   graph::node_id u_;
-  std::vector<graph::node_id> own_;    // sorted own peers (resting: active)
+  std::size_t own_count_;              // peers_[0, own_count_) rest active
   std::vector<graph::node_id> peers_;  // own + adds, slot-table order
   std::vector<std::pair<graph::edge_id, graph::edge_id>> pairs_;
   double threshold_;
   graph::source_plan plan_;            // sources and rescale of every sweep
-  std::vector<double> delta_;          // accumulation scratch
-  graph::sp_dag resweep_;              // re-sweep scratch (buffers kept)
+  dist::sender_rows rows_;             // p_trans rows of the work graph
+  std::vector<double> row_buf_;        // row i at [i * n, (i + 1) * n); u's last
+  std::vector<std::size_t> removed_;   // candidate's own slots switched off
+  std::vector<std::size_t> added_;     // candidate's add slots switched on
+  graph::cone_scratch cone_;           // cone-kernel scratch
   std::unique_ptr<session> session_;   // null in full mode
 };
 

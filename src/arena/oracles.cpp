@@ -1,6 +1,7 @@
 #include "arena/oracles.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "arena/incremental.h"
 #include "core/greedy.h"
@@ -140,6 +141,10 @@ std::optional<topology::deviation> local_propose(
       add_candidates(state, u, provider, options, scores, stream);
   candidate_evaluator evaluator(provider, state.graph(), u, own, adds);
   const double base = evaluator.base_value();
+  // A mover that cannot reach some receiver rests at U = -inf, where every
+  // finite candidate's gain is +inf: candidates then compare by their own
+  // utility, and the evaluator's threshold stays at -inf (no pruning).
+  const bool finite_base = base > -std::numeric_limits<double>::infinity();
 
   std::optional<topology::deviation> best;
   const std::size_t remove_cap = std::min(options.max_removed, own.size());
@@ -162,11 +167,18 @@ std::optional<topology::deviation> local_propose(
                   // the returned bound then sits at or below the threshold
                   // and both branches below stay false, exactly as the
                   // true value would.
-                  evaluator.set_threshold(best ? base + best->gain()
-                                               : base + options.tolerance);
+                  if (finite_base) {
+                    evaluator.set_threshold(best ? base + best->gain()
+                                                 : base + options.tolerance);
+                  }
                   const double value = evaluator.evaluate(chosen);
-                  if (value > base + options.tolerance &&
-                      (!best || value - base > best->gain())) {
+                  const bool better =
+                      finite_base
+                          ? value > base + options.tolerance &&
+                                (!best || value - base > best->gain())
+                          : value > base &&
+                                (!best || value > best->utility_after);
+                  if (better) {
                     best = diff_deviation(u, own, chosen, base, value);
                   }
                   return true;

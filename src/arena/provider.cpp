@@ -1,6 +1,7 @@
 #include "arena/provider.h"
 
 #include "graph/csr.h"
+#include "graph/properties.h"
 #include "util/error.h"
 
 namespace lcg::arena {
@@ -51,15 +52,22 @@ graph::betweenness_options utility_provider::backend_for(
 
 std::vector<double> utility_provider::node_scores(
     const graph::digraph& g) const {
-  const graph::betweenness_options backend = backend_for(g.node_count());
-  stats_.full_sweeps +=
-      graph::betweenness_source_plan(g.node_count(), backend).sources.size();
-  const lazy_prob_rows rows(g, rank_masses(g.node_count()), params_.basis,
-                           active_);
-  const graph::csr_graph frozen = graph::freeze(g);
+  const std::size_t n = g.node_count();
+  const graph::betweenness_options backend = backend_for(n);
+  const graph::source_plan plan = graph::betweenness_source_plan(n, backend);
+  stats_.full_sweeps += plan.sources.size();
+  // Every row the sweep reads is built here, on the calling thread, before
+  // the backend's workers start; they only read them.
+  dist::sender_rows ranking(params_.basis, active_, rank_masses(n));
+  ranking.assign(graph::in_degrees(g));
+  std::vector<double> rows(plan.sources.size() * n);
+  ranking.rows(g, plan.sources, rows);
+  std::vector<const double*> row_of(n, nullptr);
+  for (std::size_t i = 0; i < plan.sources.size(); ++i)
+    row_of[plan.sources[i]] = rows.data() + i * n;
   const graph::betweenness_result bw = graph::weighted_betweenness(
-      frozen,
-      [&rows](graph::node_id s, graph::node_id t) { return rows.row(s)[t]; },
+      graph::freeze(g),
+      [&row_of](graph::node_id s, graph::node_id t) { return row_of[s][t]; },
       backend);
   return bw.node;
 }

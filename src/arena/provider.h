@@ -19,9 +19,12 @@
 // source plan (graph::betweenness_source_plan) on the caller's thread and
 // reads the provider's parameters, rank-mass table and ledgers.
 //
-// p_trans rows are materialised lazily per evaluation: the sampled backend
-// touches only its pivot sources, so at 10^3+ nodes the O(n^2) probability
-// matrix of topology::node_utility never needs to exist. With the exact
+// p_trans rows are materialised only for the senders a sweep reads — the
+// plan sources, plus the evaluated node's own row for E_fees — through one
+// dist::sender_rows per degree state, which shares the in-degree histogram
+// and the tie-block tables across rows. The sampled backend therefore
+// builds k + 1 rows, so at 10^3+ nodes the O(n^2) probability matrix of
+// topology::node_utility never needs to exist. With the exact
 // backend a utility is BIT-IDENTICAL to topology::node_utility for the
 // keep_sender_edges ranking basis (tests pin this); the sampled backend
 // trades exactness for scale, deterministically under the fixed seed.
@@ -37,7 +40,6 @@
 #include "core/params.h"
 #include "dist/zipf.h"
 #include "graph/betweenness.h"
-#include "graph/properties.h"
 #include "topology/game.h"
 
 namespace lcg::arena {
@@ -104,47 +106,6 @@ struct sweep_stats {
   }
 };
 
-/// Lazily materialised p_trans rows: the sampled backend only ever asks for
-/// its pivot sources (plus the evaluated node's own row for E_fees), so
-/// computing rows on demand keeps an evaluation at O(m + k * n) — one O(m)
-/// in-degree pass at construction, then O(n + deg u) per row
-/// (dist::sender_row) — instead of the O(n^2) full matrix. node_scores and
-/// candidate_evaluator both read rows through it.
-///
-/// Rows reflect the graph as it was at construction: keep `g` unchanged
-/// while the object is alive. row() may run on the betweenness backend's
-/// worker threads, one thread per source row, so construction does every
-/// shared write and row() touches only its own slot.
-class lazy_prob_rows {
- public:
-  /// `masses` is dist::zipf_rank_masses(k, s) with k >= the node count
-  /// (utility_provider::rank_masses); `active` restricts the receiver
-  /// universe to masked-in nodes, nullptr meaning everyone.
-  lazy_prob_rows(const graph::digraph& g, const std::vector<double>& masses,
-                 dist::rank_basis basis,
-                 const std::vector<char>* active = nullptr)
-      : g_(g), masses_(masses), basis_(basis), active_(active),
-        in_deg_(graph::in_degrees(g)), rows_(g.node_count()),
-        ready_(g.node_count(), 0) {}
-
-  const std::vector<double>& row(graph::node_id u) const {
-    if (!ready_[u]) {
-      rows_[u] = dist::sender_row(g_, in_deg_, u, basis_, active_, masses_);
-      ready_[u] = 1;
-    }
-    return rows_[u];
-  }
-
- private:
-  const graph::digraph& g_;
-  const std::vector<double>& masses_;
-  dist::rank_basis basis_;
-  const std::vector<char>* active_;
-  std::vector<std::size_t> in_deg_;
-  mutable std::vector<std::vector<double>> rows_;
-  mutable std::vector<char> ready_;
-};
-
 class utility_provider {
  public:
   utility_provider(topology::game_params params, provider_options options);
@@ -208,7 +169,7 @@ class utility_provider {
 
   /// dist::zipf_rank_masses for ranks 1..n at the game's s, built on the
   /// first call for a node count this large and reused after — the table
-  /// lazy_prob_rows sums tie blocks from. Call it on the evaluating thread
+  /// dist::sender_rows sums tie blocks from. Call it on the evaluating thread
   /// before any backend starts; the reference stays valid until a call
   /// with a larger n.
   [[nodiscard]] const std::vector<double>& rank_masses(std::size_t n) const {

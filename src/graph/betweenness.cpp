@@ -358,6 +358,128 @@ std::vector<double> through_fractions(const csr_graph& c, const sp_dag& dag,
   return frac;
 }
 
+void build_dependency_cone(const csr_graph& c, const sp_dag& dag, node_id u,
+                           dependency_cone& out) {
+  out.node.clear();
+  out.offset.clear();
+  out.pred.clear();
+  out.ratio.clear();
+  LCG_EXPECTS(!dag.order.empty() && dag.order.front() != u);  // u != s
+  if (dag.dist[u] == unreachable) return;
+  // local[v]: v's index in out.node, for u and the cone found so far.
+  constexpr std::uint32_t none = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> local(c.node_count(), none);
+  local[u] = 0;
+  out.node.push_back(u);
+  out.offset.assign(2, 0);
+  // Nodes after u in BFS order; a node joins the cone when one of its DAG
+  // in-edges leaves u or a cone node, all of which precede it.
+  auto it = std::find(dag.order.begin(), dag.order.end(), u);
+  for (++it; it != dag.order.end(); ++it) {
+    const node_id v = *it;
+    const std::size_t entries = out.pred.size();
+    for (const edge_id k : dag.pred[v]) {
+      const node_id t = c.edge_src(k);
+      if (local[t] == none) continue;
+      out.pred.push_back(local[t]);
+      out.ratio.push_back(dag.sigma[t] / dag.sigma[v]);
+    }
+    if (out.pred.size() == entries) continue;
+    local[v] = static_cast<std::uint32_t>(out.node.size());
+    out.node.push_back(v);
+    out.offset.push_back(static_cast<std::uint32_t>(out.pred.size()));
+  }
+}
+
+double cone_dependency(const dependency_cone& cone, std::span<const double> w,
+                       cone_scratch& scratch) {
+  const std::size_t k = cone.node.size();
+  if (k < 2) return 0.0;  // u unreachable, or no shortest path leaves it
+  std::vector<double>& delta = scratch.delta;
+  delta.assign(k, 0.0);
+  // accumulate_over_dag's float sequence restricted to the cone: the ratio
+  // is its sigma[pred] / sigma[v], taken before the multiplication there.
+  for (std::size_t i = k; i-- > 1;) {
+    const double through = w[cone.node[i]] + delta[i];
+    for (std::uint32_t j = cone.offset[i]; j < cone.offset[i + 1]; ++j) {
+      delta[cone.pred[j]] += cone.ratio[j] * through;
+    }
+  }
+  return delta[0];
+}
+
+double sweep_dependency(const csr_graph& c, node_id s, node_id u,
+                        std::span<const double> w, cone_scratch& scratch) {
+  LCG_EXPECTS(c.has_node(s) && c.has_node(u) && s != u);
+  constexpr std::int32_t unmarked = -2;  // first[v]: v not in {u} + cone
+  constexpr std::int32_t empty = -1;     // first[v]: marked, nothing staged
+  cone_scratch& x = scratch;
+  const std::size_t n = c.node_count();
+  // dist, sigma and first are all-unreachable / 0 / unmarked between calls:
+  // only the nodes a sweep discovers are touched, and those are reset below.
+  if (x.dist.size() != n) {
+    x.dist.assign(n, unreachable);
+    x.sigma.assign(n, 0.0);
+    x.first.assign(n, unmarked);
+  }
+  x.order.clear();
+  x.next.clear();
+  x.tail.clear();
+  dependency_cone& cone = x.cone;
+  cone.node.clear();
+  cone.pred.clear();
+  cone.ratio.clear();
+  cone.offset.assign(1, 0);
+
+  x.dist[s] = 0;
+  x.sigma[s] = 1.0;
+  x.order.push_back(s);
+  x.first[u] = empty;
+  std::size_t pending = 1;  // marked nodes not yet dequeued (u to start)
+  for (std::size_t head = 0; head < x.order.size(); ++head) {
+    const node_id v = x.order[head];
+    const bool marked = x.first[v] != unmarked;
+    std::uint32_t local = 0;
+    if (marked) {
+      // Every in-edge of v from u or the cone is staged and every pred's
+      // sigma is final by now, so v's cone entry is complete.
+      local = static_cast<std::uint32_t>(cone.node.size());
+      cone.node.push_back(v);
+      for (std::int32_t e = x.first[v]; e != empty; e = x.next[e]) {
+        const std::uint32_t t = x.tail[e];
+        cone.pred.push_back(t);
+        cone.ratio.push_back(x.sigma[cone.node[t]] / x.sigma[v]);
+      }
+      cone.offset.push_back(static_cast<std::uint32_t>(cone.pred.size()));
+    }
+    for (csr_graph::packed_id k = c.row_begin(v); k < c.row_end(v); ++k) {
+      const node_id t = c.edge_dst(k);
+      if (x.dist[t] == unreachable) {
+        x.dist[t] = x.dist[v] + 1;
+        x.order.push_back(t);
+      }
+      if (x.dist[t] != x.dist[v] + 1) continue;
+      x.sigma[t] += x.sigma[v];
+      if (!marked) continue;
+      if (x.first[t] == unmarked) {
+        x.first[t] = empty;
+        ++pending;
+      }
+      x.next.push_back(x.first[t]);
+      x.tail.push_back(local);
+      x.first[t] = static_cast<std::int32_t>(x.next.size() - 1);
+    }
+    if (marked && --pending == 0) break;
+  }
+  for (const node_id v : x.order) {
+    x.dist[v] = unreachable;
+    x.sigma[v] = 0.0;
+    x.first[v] = unmarked;
+  }
+  x.first[u] = unmarked;  // u itself may be unreachable
+  return cone_dependency(cone, w, scratch);
+}
+
 betweenness_result weighted_betweenness_naive(const digraph& g,
                                               const pair_weight_fn& w) {
   const std::size_t n = g.node_count();

@@ -65,6 +65,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -157,11 +158,15 @@ class csr_graph;  // graph/csr.h
 
 // --- Reusable per-source sweep state (the incremental provider's seam) ----
 //
-// The arena's toggle-aware evaluation path (arena/incremental.h) re-sweeps
-// only the sources whose shortest-path DAG a candidate edge toggle can
-// affect; for every other source it reuses the base graph's cached sp_dag
-// and re-runs ONLY the backward accumulation below. The three helpers expose
-// exactly the internals that make that bitwise-equal to a full sweep.
+// The arena's toggle-aware evaluation path (arena/incremental.h) prices a
+// candidate by delta_s(u) alone, summed over the source plan below. It
+// re-sweeps only the sources whose shortest-path DAG a candidate edge toggle
+// can affect; for every other source it reuses the base graph's cached
+// sp_dag. Both halves accumulate over u's dependency cone only (the cone
+// kernels below), which reproduces the full backward accumulation's
+// delta_s(u) bit for bit (DESIGN.md §8.4). source_dependencies is the full
+// accumulation itself, kept as the reference the cone kernels are pinned
+// against.
 
 struct sp_dag;  // graph/traversal.h
 
@@ -220,6 +225,59 @@ struct edge_toggle {
 [[nodiscard]] std::vector<double> through_fractions(const csr_graph& c,
                                                     const sp_dag& dag,
                                                     node_id u);
+
+// --- u-restricted Brandes kernels ------------------------------------------
+//
+// delta_s(u) needs only u's dependency cone: u and every node reached from u
+// over shortest-path DAG edges. Every child of a cone node is in the cone,
+// so each cone node's dependency is complete once the cone is accumulated;
+// every pred receives one addition per child in reverse-BFS order, the
+// full accumulation's sequence, so the result equals source_dependencies'
+// delta[u] bit for bit. The weight row is the sender's: w[t] == w(s, t).
+
+/// u's cone for one source: node[0] == u, then the cone in BFS order. The
+/// DAG in-edges of node[i] whose tail is u or a cone node are the entries
+/// [offset[i], offset[i + 1]): the tail's index in `node` and the ratio
+/// sigma[tail] / sigma[node[i]]. Empty when u is unreachable from s.
+struct dependency_cone {
+  std::vector<node_id> node;
+  std::vector<std::uint32_t> offset;
+  std::vector<std::uint32_t> pred;
+  std::vector<double> ratio;
+};
+
+/// Buffers the cone kernels reuse across calls; a warm scratch sweeps
+/// without allocating. Holds no result between calls (sweep_dependency
+/// leaves dist, sigma and first reset); callers leave its fields alone.
+struct cone_scratch {
+  std::vector<std::int32_t> dist;
+  std::vector<double> sigma;
+  std::vector<std::int32_t> first;  // per node: head of its staged in-edges
+  std::vector<node_id> order;       // BFS FIFO
+  std::vector<std::int32_t> next;   // staged in-edge chain
+  std::vector<std::uint32_t> tail;  // staged in-edge tail (cone index)
+  dependency_cone cone;
+  std::vector<double> delta;
+};
+
+/// u's cone in a cached DAG (`dag` == shortest_path_dag(c, s), u != s):
+/// built once per (source, u) and replayed by cone_dependency for any
+/// weight row. O(n + m).
+void build_dependency_cone(const csr_graph& c, const sp_dag& dag, node_id u,
+                           dependency_cone& out);
+
+/// delta_s(u) accumulated over a cone; O(cone edges).
+[[nodiscard]] double cone_dependency(const dependency_cone& cone,
+                                     std::span<const double> w,
+                                     cone_scratch& scratch);
+
+/// delta_s(u) from a fresh sweep of `c` (s != u): a BFS for dist, sigma and
+/// order that stages only the DAG edges leaving u or a cone node, and stops
+/// once u and every cone node have been dequeued; then cone_dependency.
+/// Bitwise equal to source_dependencies(c, shortest_path_dag(c, s), s, w)[u].
+[[nodiscard]] double sweep_dependency(const csr_graph& c, node_id s,
+                                      node_id u, std::span<const double> w,
+                                      cone_scratch& scratch);
 
 }  // namespace lcg::graph
 

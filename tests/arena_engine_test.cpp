@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 
 #include "arena/engine.h"
 #include "arena/incremental.h"
@@ -245,6 +248,60 @@ TEST(ArenaEngine, LocalOracleRespectsItsNeighbourhoodCaps) {
     EXPECT_LE(m.dev.added_peers.size(), 1u);
   }
   EXPECT_NE(res.rounds, 0u);
+}
+
+TEST(ArenaEngine, LocalOracleFromMinusInfinityPicksTheBestCandidate) {
+  // Node 9 is isolated from a 9-cycle, so it cannot reach any receiver and
+  // rests at U = -inf: every finite candidate's gain is +inf. The oracle
+  // must still return the best candidate of its neighbourhood (by utility),
+  // not the first finite one it meets.
+  graph::digraph g(10);
+  for (graph::node_id v = 0; v < 9; ++v) g.add_bidirectional(v, (v + 1) % 9);
+  const strategy_state state(g);
+  const graph::node_id mover = 9;
+  oracle_options opts;
+  opts.candidate_k = 4;
+  opts.candidate_random = 0;
+  opts.max_added = 2;
+  for (const provider_mode mode :
+       {provider_mode::full, provider_mode::incremental}) {
+    provider_options popts;
+    popts.mode = mode;
+    const utility_provider provider(params_with_l(0.2), popts);
+    const std::vector<double> scores = provider.node_scores(state.graph());
+    // The oracle's add candidates: the top candidate_k by (score, id).
+    std::vector<graph::node_id> adds(9);
+    for (graph::node_id v = 0; v < 9; ++v) adds[v] = v;
+    std::stable_sort(adds.begin(), adds.end(),
+                     [&](graph::node_id a, graph::node_id b) {
+                       return scores[a] > scores[b];
+                     });
+    adds.resize(opts.candidate_k);
+    candidate_evaluator evaluator(provider, state.graph(), mover, {}, adds);
+    EXPECT_EQ(evaluator.base_value(), -std::numeric_limits<double>::infinity());
+    double best = -std::numeric_limits<double>::infinity();
+    std::vector<graph::node_id> best_set;
+    for (std::size_t i = 0; i < adds.size(); ++i) {
+      for (std::size_t j = i; j < adds.size(); ++j) {
+        std::vector<graph::node_id> set{adds[i]};
+        if (j != i) set.push_back(adds[j]);
+        std::sort(set.begin(), set.end());
+        const double value = evaluator.evaluate(set);
+        if (value > best) {
+          best = value;
+          best_set = set;
+        }
+      }
+    }
+    ASSERT_EQ(best_set.size(), 2u);  // one channel alone is not the best
+
+    rng stream(1);
+    const std::optional<topology::deviation> dev = propose_move(
+        oracle_kind::local, state, mover, provider, opts, scores, stream);
+    ASSERT_TRUE(dev.has_value()) << provider_mode_name(mode);
+    EXPECT_EQ(dev->added_peers, best_set) << provider_mode_name(mode);
+    EXPECT_EQ(dev->utility_after, best) << provider_mode_name(mode);
+  }
 }
 
 TEST(ArenaEngine, SimultaneousOrderAppliesOnlyStructurallyValidProposals) {

@@ -9,8 +9,8 @@
 #include <numeric>
 #include <tuple>
 
-#include "arena/provider.h"
 #include "graph/generators.h"
+#include "graph/properties.h"
 #include "util/rng.h"
 
 namespace lcg::dist {
@@ -314,35 +314,62 @@ TEST(ZipfBitwise, SenderRowsMatchSortRanking) {
   }
 }
 
-TEST(ZipfBitwise, LazyRowsMatchTransactionProbabilities) {
-  // The arena's lazy rows reuse one in-degree pass and one mass table per
-  // graph state; toggling channels between states must never leave a row
-  // describing the previous state.
-  rng gen(303);
+TEST(ZipfBitwise, SharedBlockRowsMatchSortRankingAcrossToggles) {
+  // sender_rows follows a graph through edge toggles by patching its
+  // in-degree histogram, and shares tie-block tables between senders of
+  // equal in-degree; every row must still equal the stable-sort ranking's
+  // bits for the current state. The masks cover inactive senders and a lone active node
+  // whose row has no members at all (total <= 0: the all-zero row).
   for (const std::size_t n : {std::size_t{3}, std::size_t{240}}) {
-    graph::digraph g = tie_heavy_graph(n, gen);
+    rng gen(303 + n);
+    const graph::digraph start = tie_heavy_graph(n, gen);
     const std::vector<char> mask = random_mask(n, gen);
-    for (int state = 0; state < 4; ++state) {
-      for (graph::edge_id e = 0; e < g.edge_slots(); ++e) {
-        if (!gen.bernoulli(0.2)) continue;
-        if (g.edge_active(e)) {
-          g.remove_edge(e);
-        } else {
-          g.restore_edge(e);
-        }
-      }
-      for (const double s : kExponents) {
-        const std::vector<double> masses = zipf_rank_masses(n, s);
-        for (const rank_basis basis : {rank_basis::keep_sender_edges,
-                                       rank_basis::drop_sender_edges}) {
-          for (const std::vector<char>* active : {
-                   static_cast<const std::vector<char>*>(nullptr), &mask}) {
-            const arena::lazy_prob_rows rows(g, masses, basis, active);
+    std::vector<char> lone(n, 0);
+    lone[0] = 1;
+    for (const double s : kExponents) {
+      const std::vector<double> masses = zipf_rank_masses(n, s);
+      for (const rank_basis basis : {rank_basis::keep_sender_edges,
+                                     rank_basis::drop_sender_edges}) {
+        for (const std::vector<char>* active :
+             {static_cast<const std::vector<char>*>(nullptr), &mask,
+              static_cast<const std::vector<char>*>(&lone)}) {
+          graph::digraph g = start;
+          sender_rows rows(basis, active, masses);
+          rows.assign(graph::in_degrees(g));
+          std::vector<double> row(n);
+          rng toggles(404 + n);
+          for (int state = 0; state < 4; ++state) {
+            for (graph::edge_id e = 0; e < g.edge_slots(); ++e) {
+              if (!toggles.bernoulli(0.2)) continue;
+              const bool up = !g.edge_active(e);
+              if (up) {
+                g.restore_edge(e);
+              } else {
+                g.remove_edge(e);
+              }
+              rows.shift(g.edge_at(e).dst, up);
+            }
+            // Every sender alone, then all of them in one batch, which
+            // reads the tables the single rows built.
+            std::vector<graph::node_id> senders;
+            std::vector<std::vector<double>> want;
             for (graph::node_id u = 0; u < n; ++u) {
-              ASSERT_EQ(bits(rows.row(u)),
-                        bits(transaction_probabilities(g, u, s, basis, active)))
+              want.push_back(oracle_sender_row(g, u, s, basis, active));
+              rows.row(g, u, row);
+              ASSERT_EQ(bits(row), bits(want.back()))
                   << "n=" << n << " state=" << state << " s=" << s
-                  << " u=" << u;
+                  << " basis=" << static_cast<int>(basis) << " u=" << u;
+              senders.push_back((u * 7) % n);
+            }
+            std::vector<double> batch(n * n);
+            rows.rows(g, senders, batch);
+            for (std::size_t j = 0; j < n; ++j) {
+              const std::vector<double> got(batch.begin() + j * n,
+                                            batch.begin() + (j + 1) * n);
+              ASSERT_EQ(bits(got), bits(want[senders[j]]))
+                  << "batch n=" << n << " state=" << state << " s=" << s
+                  << " basis=" << static_cast<int>(basis)
+                  << " u=" << senders[j];
             }
           }
         }

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -634,6 +635,79 @@ TEST(BetweennessToggle, ThroughFractionsMatchSigmaRatios) {
       }
     }
   }
+}
+
+TEST(BetweennessToggle, ConeDependencyMatchesFullAccumulation) {
+  // Both cone kernels against the full backward accumulation, bit for bit:
+  // the fresh-sweep kernel on views re-frozen along a random channel-toggle
+  // sequence (parallel channels included), the cached-DAG kernel on the
+  // base view. Every (s, u) pair is checked, so u unreachable from s, u a
+  // leaf of the DAG and u adjacent to s all occur; the counters pin that.
+  std::size_t unreachable_u = 0, leaf_u = 0, adjacent_u = 0;
+  cone_scratch scratch;
+  dependency_cone cone;
+  std::vector<double> delta;
+  for (const corpus_case& c : build_corpus()) {
+    const std::size_t n = c.g.node_count();
+    if (n < 2) continue;
+    std::vector<std::vector<double>> rows(n, std::vector<double>(n));
+    for (node_id s = 0; s < n; ++s) {
+      for (node_id t = 0; t < n; ++t) rows[s][t] = c.w(s, t);
+    }
+    const auto check = [&](const csr_graph& view, bool cached,
+                           const std::string& ctx) {
+      for (node_id s = 0; s < n; ++s) {
+        const sp_dag dag = shortest_path_dag(view, s);
+        source_dependencies(view, dag, s, c.w, delta);
+        for (node_id u = 0; u < n; ++u) {
+          if (u == s) continue;
+          double got = 0.0;
+          if (cached) {
+            build_dependency_cone(view, dag, u, cone);
+            got = cone_dependency(cone, rows[s], scratch);
+          } else {
+            got = sweep_dependency(view, s, u, rows[s], scratch);
+          }
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                    std::bit_cast<std::uint64_t>(delta[u]))
+              << ctx << (cached ? " cached" : " fresh") << " s=" << s
+              << " u=" << u;
+          if (dag.dist[u] == unreachable) {
+            ++unreachable_u;
+          } else if (delta[u] == 0.0) {
+            ++leaf_u;
+          }
+          if (dag.dist[u] == 1) ++adjacent_u;
+        }
+      }
+    };
+    digraph g = c.g;
+    check(freeze(g), /*cached=*/true, c.name);
+    rng gen(0xc0de + n);
+    for (int step = 0; step < 3; ++step) {
+      const auto channels = channel_list(g);
+      const bool add = channels.empty() || gen.uniform01() < 0.5;
+      node_id a = 0, b = 0;
+      if (add) {
+        a = static_cast<node_id>(
+            gen.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+        b = static_cast<node_id>(
+            gen.uniform_int(0, static_cast<std::int64_t>(n) - 2));
+        if (b >= a) ++b;
+      } else {
+        const auto& pick = channels[static_cast<std::size_t>(gen.uniform_int(
+            0, static_cast<std::int64_t>(channels.size()) - 1))];
+        a = pick.first;
+        b = pick.second;
+      }
+      apply_channel_toggle(g, a, b, add);
+      check(freeze(g), /*cached=*/false,
+            c.name + " step=" + std::to_string(step));
+    }
+  }
+  EXPECT_GT(unreachable_u, 0u);
+  EXPECT_GT(leaf_u, 0u);
+  EXPECT_GT(adjacent_u, 0u);
 }
 
 TEST(BetweennessInvariant, BackendNamesRoundTrip) {
