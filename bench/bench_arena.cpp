@@ -32,7 +32,8 @@
 // any divergence, so the bench doubles as the mode-equivalence gate at
 // bench scale. It also exits 1 unless every pair evaluated utilities,
 // churn applied joins and leaves with a zero deposit gap (and no other
-// family churned), and incremental swept less than full.
+// family churned), incremental swept less than full, and its separator
+// filter pruned at least one candidate (greedy and local oracles alike).
 // `effective_sweeps` counts single-source DAG constructions (the metric the
 // incremental mode exists to cut); `sweep_reduction` on incremental records
 // is full/incremental for the same configuration.
@@ -130,8 +131,7 @@ void write_json(const std::string& path,
        << ", \"arena/resweep_source\": " << r.sweeps.resweeps
        << ", \"arena/accumulate_source\": " << r.sweeps.accumulations
        << ", \"arena/run_support_bfs\": " << r.sweeps.support_bfs
-       << ", \"arena/prune_candidate\": " << r.sweeps.pruned
-       << ", \"arena/truncate_merge\": " << r.sweeps.truncated << "}"
+       << ", \"arena/prune_candidate\": " << r.sweeps.pruned << "}"
        << ", \"wall_ms\": " << r.wall_ms
        << ", \"evals_per_ms\": " << evals_per_ms << "}"
        << (i + 1 < records.size() ? "," : "") << "\n";
@@ -184,6 +184,7 @@ const char* pair_violation(const bench_record& full,
   if (inc.effective_sweeps == 0 ||
       inc.effective_sweeps >= full.effective_sweeps)
     return "incremental did not sweep less than full";
+  if (inc.pruned == 0) return "the separator filter pruned no candidate";
   return nullptr;
 }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
-#include <unordered_map>
 
 #include "graph/betweenness.h"
 #include "graph/csr.h"
@@ -18,52 +16,41 @@ namespace lcg::arena {
 namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
-constexpr std::int64_t far = std::numeric_limits<std::int32_t>::max();
 
-/// Hop distance as an arithmetic-friendly value (unreachable -> "far",
-/// which never overflows when a handful of +1 hops are added in int64).
-std::int64_t hops(const std::vector<std::int32_t>& dist, graph::node_id v) {
-  return dist[v] == graph::unreachable ? far : dist[v];
+/// Folds one more path into a (distance, path count) pair over a last hop:
+/// `d` and `sigma` reach the hop's tail, which is one hop short of the
+/// pair's end. Shorter paths replace the pair, tied ones add their count.
+void fold_hop(std::int32_t d, double sigma, std::int32_t& best,
+              double& count) {
+  if (d == graph::unreachable) return;
+  if (best == graph::unreachable || d + 1 < best) {
+    best = d + 1;
+    count = sigma;
+  } else if (d + 1 == best) {
+    count += sigma;
+  }
 }
 
 }  // namespace
 
-/// Provider-wide cache of base-graph SSSP DAGs. A DAG from source s depends
-/// only on the graph — not on which node is being evaluated — so consecutive
-/// activations over an unchanged graph (most of a converging round) share
-/// forests across players, even though their pivot plans differ. One graph
-/// is cached at a time, as its frozen view; the view's rows()/cols() are
-/// the exact active adjacency in traversal order, so comparing them makes a
-/// stale hit impossible (no hashing of the graph itself). Candidate slots
-/// rest inactive, so an evaluator's work graph freezes to the same arrays
-/// as the base graph it was built from.
-struct base_dag_cache {
-  graph::csr_graph view;  // DAG pred lists hold packed ids of this view
-  std::unordered_map<graph::node_id, graph::sp_dag> dag;
-};
-
-/// Incremental-mode cached state, all relative to the RESTING (base) graph:
-/// the SSSP forest of the plan sources (pointers into the provider-level
-/// cache), per-source cone lists and through-fractions at u, and base BFS
-/// distance arrays from u and toggled peers (the bound cones), plus the
-/// bound phase's per-candidate scratch.
-struct candidate_evaluator::session {
-  std::shared_ptr<base_dag_cache> cache;
-  std::vector<const graph::sp_dag*> dag;    // parallel to plan_.sources
-  std::vector<graph::dependency_cone> cone; // parallel to plan_.sources
-  std::vector<char> cone_ready;
-  // Parallel to plan_.sources, empty until built: through-fractions at u
-  // and their support (the t with frac[t] > 0).
-  std::vector<std::vector<double>> frac;
-  std::vector<std::vector<graph::node_id>> support;
-  // Base BFS rows by peer slot, the last slot u's own; empty until built.
-  std::vector<std::vector<std::int32_t>> peer_dist;
-  // Per-candidate scratch.
-  std::vector<graph::edge_toggle> toggles;
-  std::vector<char> affected;
-  std::vector<std::int64_t> exit_lb;
-  std::vector<double> ub_src;               // per-source bound contributions
-  std::vector<double> suffix;
+/// The separator filter's per-activation state (DESIGN.md §8.1): hop
+/// distances and path counts in G - u (the resting graph with every edge of
+/// u removed), one row of n per sweep root, plus per-candidate scratch.
+/// Built on the first filtered evaluation.
+struct candidate_evaluator::separator {
+  // Row r at [r * n, (r + 1) * n). Roots: the plan sources, then peers_ in
+  // slot order, then the head of each out-edge of u outside the slot table
+  // (counterparty-owned channels, which every candidate keeps).
+  std::vector<std::int32_t> dist;
+  std::vector<double> sigma;
+  std::size_t fixed_out = 0;            // rows of the fixed out-edge heads
+  std::vector<graph::node_id> fixed_in;  // tails of u's fixed in-edges
+  // Per-candidate scratch: the active in-edges' tails, the rows of the
+  // active out-edges' heads, and d(u, t) and sigma(u, t) over them.
+  std::vector<graph::node_id> in;
+  std::vector<std::size_t> out;
+  std::vector<std::int32_t> dist_ut;
+  std::vector<double> sigma_ut;
 };
 
 candidate_evaluator::candidate_evaluator(
@@ -106,54 +93,9 @@ candidate_evaluator::candidate_evaluator(
   plan_ = graph::betweenness_source_plan(n, provider_.backend_for(n), u_);
   rows_.assign(graph::in_degrees(work_));
   row_buf_.resize((plan_.sources.size() + 1) * n);
-  if (provider_.options().mode == provider_mode::incremental) {
-    session_ = std::make_unique<session>();
-    std::shared_ptr<base_dag_cache>& cache = provider_.mutable_dag_cache();
-    if (!cache) cache = std::make_shared<base_dag_cache>();
-    graph::csr_graph view = graph::freeze(work_);
-    if (view.rows() != cache->view.rows() ||
-        view.cols() != cache->view.cols()) {
-      cache->dag.clear();
-      cache->view = std::move(view);
-    }
-    session_->cache = cache;
-    session_->dag.assign(plan_.sources.size(), nullptr);
-    session_->cone.resize(plan_.sources.size());
-    session_->cone_ready.assign(plan_.sources.size(), 0);
-    session_->frac.resize(plan_.sources.size());
-    session_->support.resize(plan_.sources.size());
-    session_->peer_dist.resize(peers_.size() + 1);
-    session_->affected.assign(plan_.sources.size(), 0);
-  }
 }
 
-/// The base DAG for plan source i: provider-cache hit when another session
-/// already built it on this graph, one counted forest sweep otherwise.
-const graph::sp_dag& candidate_evaluator::base_dag(std::size_t i) {
-  session& ses = *session_;
-  if (ses.dag[i] == nullptr) {
-    const graph::node_id s = plan_.sources[i];
-    auto it = ses.cache->dag.find(s);
-    if (it == ses.cache->dag.end()) {
-      it = ses.cache->dag
-               .emplace(s, graph::shortest_path_dag(ses.cache->view, s))
-               .first;
-      ++provider_.mutable_stats().forest;
-    }
-    ses.dag[i] = &it->second;
-  }
-  return *ses.dag[i];
-}
-
-const graph::dependency_cone& candidate_evaluator::base_cone(std::size_t i) {
-  session& ses = *session_;
-  if (!ses.cone_ready[i]) {
-    graph::build_dependency_cone(ses.cache->view, base_dag(i), u_,
-                                 ses.cone[i]);
-    ses.cone_ready[i] = 1;
-  }
-  return ses.cone[i];
-}
+candidate_evaluator::~candidate_evaluator() = default;
 
 std::span<const double> candidate_evaluator::row(std::size_t i) const {
   const std::size_t n = work_.node_count();
@@ -175,8 +117,6 @@ void candidate_evaluator::fill_rows() {
              std::span<double>(row_buf_.data(), plan_.sources.size() * n));
 }
 
-candidate_evaluator::~candidate_evaluator() = default;
-
 void candidate_evaluator::flip(bool on) {
   // Own channels rest active, candidate additions rest inactive; only the
   // symmetric difference to the base configuration flips. Each channel
@@ -197,45 +137,116 @@ void candidate_evaluator::flip(bool on) {
   for (const std::size_t slot : added_) set_channel(slot, on);
 }
 
-double candidate_evaluator::base_value() {
-  provider_.count_logical_evaluation();
-  sweep_stats& stats = provider_.mutable_stats();
-  const topology::game_params& p = provider_.params();
-  const double fees = expected_fees();
-  fill_rows();
-  const double cost = provider_.l_of(u_) * p.cost_share *
-                      static_cast<double>(work_.out_degree(u_));
+bool candidate_evaluator::filtered() const noexcept {
+  return provider_.options().mode == provider_mode::incremental;
+}
 
-  // Incremental mode accumulates over the session forest's cones; full
-  // mode sweeps every plan source on one freeze of the resting graph.
-  std::optional<graph::csr_graph> resting;
-  if (!session_) resting = graph::freeze(work_);
+void candidate_evaluator::build_separator() {
+  separator_ = std::make_unique<separator>();
+  separator& x = *separator_;
+  const auto in_slot = [&](graph::edge_id e) {
+    return std::any_of(pairs_.begin(), pairs_.end(), [e](const auto& pair) {
+      return pair.first == e || pair.second == e;
+    });
+  };
+  // G - u: cut u's active edges, freeze, and put them back in place.
+  std::vector<graph::node_id> roots = plan_.sources;
+  roots.insert(roots.end(), peers_.begin(), peers_.end());
+  std::vector<graph::edge_id> cut;
+  work_.for_each_out(u_, [&](graph::edge_id e, const graph::edge& ed) {
+    cut.push_back(e);
+    if (!in_slot(e)) {
+      roots.push_back(ed.dst);
+      ++x.fixed_out;
+    }
+  });
+  work_.for_each_in(u_, [&](graph::edge_id e, const graph::edge& ed) {
+    cut.push_back(e);
+    if (!in_slot(e)) x.fixed_in.push_back(ed.src);
+  });
+  for (const graph::edge_id e : cut) work_.remove_edge(e);
+  const graph::csr_graph view = graph::freeze(work_);
+  for (const graph::edge_id e : cut) work_.restore_edge(e);
+
+  graph::sp_dag dag;
+  x.dist.reserve(roots.size() * work_.node_count());
+  x.sigma.reserve(roots.size() * work_.node_count());
+  for (const graph::node_id root : roots) {
+    graph::shortest_path_dag(view, root, dag);
+    x.dist.insert(x.dist.end(), dag.dist.begin(), dag.dist.end());
+    x.sigma.insert(x.sigma.end(), dag.sigma.begin(), dag.sigma.end());
+  }
+  provider_.mutable_stats().forest += roots.size();
+}
+
+double candidate_evaluator::separator_betweenness() {
+  separator& x = *separator_;
+  const std::size_t n = work_.node_count();
+  const std::size_t sources = plan_.sources.size();
+  const auto dist = [&](std::size_t r) {
+    return std::span<const std::int32_t>(x.dist.data() + r * n, n);
+  };
+  const auto sigma = [&](std::size_t r) {
+    return std::span<const double>(x.sigma.data() + r * n, n);
+  };
+  // The candidate's u-edges: the counterparty channels plus every slot the
+  // candidate has switched on (flip has run, so the work graph says which).
+  x.in = x.fixed_in;
+  x.out.clear();
+  for (std::size_t slot = 0; slot < peers_.size(); ++slot) {
+    if (!work_.edge_active(pairs_[slot].first)) continue;
+    x.in.push_back(peers_[slot]);
+    x.out.push_back(sources + slot);
+  }
+  for (std::size_t j = 0; j < x.fixed_out; ++j)
+    x.out.push_back(sources + peers_.size() + j);
+  // d(u, t) and sigma(u, t), shared by every source.
+  x.dist_ut.assign(n, graph::unreachable);
+  x.sigma_ut.assign(n, 0.0);
+  for (const std::size_t r : x.out) {
+    for (graph::node_id t = 0; t < n; ++t)
+      fold_hop(dist(r)[t], sigma(r)[t], x.dist_ut[t], x.sigma_ut[t]);
+  }
+  double acc = 0.0;
+  for (std::size_t i = 0; i < sources; ++i) {
+    std::int32_t dist_su = graph::unreachable;
+    double sigma_su = 0.0;
+    for (const graph::node_id p : x.in)
+      fold_hop(dist(i)[p], sigma(i)[p], dist_su, sigma_su);
+    acc += plan_.scale * graph::separator_dependency(
+                             dist(i), sigma(i), dist_su, sigma_su, x.dist_ut,
+                             x.sigma_ut, row(i));
+  }
+  provider_.mutable_stats().accumulations += sources;
+  return acc;
+}
+
+double candidate_evaluator::exact_betweenness() {
+  // Sources merge in ascending order with one scale-multiplied addition
+  // each, exactly the sweep engine's sequence.
+  const graph::csr_graph view = graph::freeze(work_);
   double acc = 0.0;
   for (std::size_t i = 0; i < plan_.sources.size(); ++i) {
-    double delta_u = 0.0;
-    if (session_) {
-      delta_u = graph::cone_dependency(base_cone(i), row(i), cone_);
-      ++stats.accumulations;
-    } else {
-      delta_u = graph::sweep_dependency(*resting, plan_.sources[i], u_,
-                                        row(i), cone_);
-      ++stats.full_sweeps;
-    }
-    acc += plan_.scale * delta_u;
+    acc += plan_.scale * graph::sweep_dependency(view, plan_.sources[i], u_,
+                                                 row(i), cone_);
   }
-  const double revenue = provider_.b_of(u_) * acc;
-  return std::isinf(fees) ? -inf : revenue - fees - cost;
+  sweep_stats& stats = provider_.mutable_stats();
+  (filtered() ? stats.resweeps : stats.full_sweeps) += plan_.sources.size();
+  return acc;
+}
+
+double candidate_evaluator::base_value() {
+  provider_.count_logical_evaluation();
+  const double fees = expected_fees();
+  if (std::isinf(fees)) return -inf;
+  fill_rows();
+  const double cost = provider_.l_of(u_) * provider_.params().cost_share *
+                      static_cast<double>(work_.out_degree(u_));
+  return provider_.b_of(u_) * exact_betweenness() - fees - cost;
 }
 
 double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   provider_.count_logical_evaluation();
-  sweep_stats& stats = provider_.mutable_stats();
-  const topology::game_params& p = provider_.params();
-  const std::size_t n = work_.node_count();
-  // Full mode skips the forest, the affected-source classification and
-  // the bounds: every plan source counts as affected and is re-swept.
-  const bool bounding = session_ && threshold_ > -inf;
-
   // The candidate's toggle set: channels leaving and joining u's own set.
   removed_.clear();
   added_.clear();
@@ -246,183 +257,35 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
     if (i >= own_count_ && in_set) added_.push_back(i);
   }
 
-  // Incremental mode only: the base-graph cached state — the forest
-  // (affected-source classification + reuse) on the base view, and the
-  // bound cones' BFS arrays from u and every toggled peer, which must be
-  // filled BEFORE toggling work_.
-  if (session_) {
-    session& ses = *session_;
-    for (std::size_t i = 0; i < plan_.sources.size(); ++i) base_dag(i);
-    const auto base_dist = [&](std::size_t slot) {
-      if (!ses.peer_dist[slot].empty()) return;
-      const graph::node_id v = slot < peers_.size() ? peers_[slot] : u_;
-      ses.peer_dist[slot] = graph::bfs_distances(work_, v);
-      ++stats.support_bfs;
-    };
-    if (bounding) {
-      base_dist(peers_.size());
-      for (const std::size_t slot : removed_) base_dist(slot);
-      for (const std::size_t slot : added_) base_dist(slot);
-    }
-
-    // Classify which plan sources the toggles can affect (both orientations
-    // of every toggled channel; OR over the toggle set is sound because a
-    // FALSE verdict for every toggle pins the whole DAG bitwise).
-    ses.toggles.clear();
-    for (const std::size_t slot : removed_) {
-      ses.toggles.push_back({u_, peers_[slot], false});
-      ses.toggles.push_back({peers_[slot], u_, false});
-    }
-    for (const std::size_t slot : added_) {
-      ses.toggles.push_back({u_, peers_[slot], true});
-      ses.toggles.push_back({peers_[slot], u_, true});
-    }
-    for (std::size_t i = 0; i < plan_.sources.size(); ++i) {
-      ses.affected[i] = 0;
-      for (const graph::edge_toggle& t : ses.toggles) {
-        if (graph::toggle_affects_source(ses.dag[i]->dist, t)) {
-          ses.affected[i] = 1;
-          break;
-        }
-      }
-    }
-  }
-
   flip(/*on=*/true);
   const double fees = expected_fees();
-  const double cost = provider_.l_of(u_) * p.cost_share *
-                      static_cast<double>(work_.out_degree(u_));
   if (std::isinf(fees)) {
-    // total is -inf no matter what revenue is (base_value applies the
-    // same guard), so no sweep is needed at all.
+    // total is -inf no matter what revenue is, so no sweep is needed.
     flip(/*on=*/false);
     return -inf;
   }
   fill_rows();
+  const double cost = provider_.l_of(u_) * provider_.params().cost_share *
+                      static_cast<double>(work_.out_degree(u_));
 
-  // --- Upper-bound pruning (DESIGN.md §8). All toggles are incident to u,
-  // so any path changed by the candidate either uses an added channel (and
-  // then passes u) or loses a base shortest path through a removed channel.
-  // Pairs outside both cones keep their base through-fraction exactly;
-  // cone pairs get the full headroom w * (1 - frac). The bound phase costs
-  // dot products only — not a single sweep.
-  if (bounding) {
-    session& ses = *session_;
-    const std::vector<std::int32_t>& du = ses.peer_dist[peers_.size()];
-    // Lower bound on the candidate's distance from u to t: exit u over
-    // base edges or through an added channel. Source-independent.
-    ses.exit_lb.resize(n);
-    for (graph::node_id t = 0; t < n; ++t) {
-      std::int64_t exit_lb = hops(du, t);
-      for (const std::size_t slot : added_) {
-        exit_lb = std::min(exit_lb, 1 + hops(ses.peer_dist[slot], t));
-      }
-      ses.exit_lb[t] = exit_lb;
-    }
-    ses.ub_src.assign(plan_.sources.size(), 0.0);
-    double ub_acc = 0.0;
-    for (std::size_t i = 0; i < plan_.sources.size(); ++i) {
-      const graph::node_id s = plan_.sources[i];
-      const std::span<const double> w_row = row(i);
-      if (ses.frac[i].empty()) {
-        ses.frac[i] =
-            graph::through_fractions(ses.cache->view, *ses.dag[i], u_);
-        for (graph::node_id t = 0; t < n; ++t)
-          if (ses.frac[i][t] > 0.0) ses.support[i].push_back(t);
-      }
-      const std::vector<double>& frac = ses.frac[i];
-      const std::vector<std::int32_t>& ds = ses.dag[i]->dist;
-      double dot = 0.0;
-      if (!ses.affected[i]) {
-        // Terms with frac[t] == 0 add +0.0 and are skipped.
-        for (const graph::node_id t : ses.support[i]) {
-          dot += w_row[t] * frac[t];
-        }
-      } else {
-        // Lower bound on the candidate's distance from s to u: enter u
-        // either over base edges or through an added channel's far end.
-        std::int64_t du_lb = hops(ds, u_);
-        for (const std::size_t slot : added_) {
-          du_lb = std::min(du_lb, hops(ds, peers_[slot]) + 1);
-        }
-        for (graph::node_id t = 0; t < n; ++t) {
-          if (t == u_ || t == s || w_row[t] <= 0.0) continue;
-          bool cone = du_lb + ses.exit_lb[t] <= hops(ds, t);
-          for (std::size_t r = 0; !cone && r < removed_.size(); ++r) {
-            const graph::node_id q = peers_[removed_[r]];
-            const std::vector<std::int32_t>& dq = ses.peer_dist[removed_[r]];
-            cone = hops(ds, u_) + 1 + hops(dq, t) == hops(ds, t) ||
-                   hops(ds, q) + 1 + hops(du, t) == hops(ds, t);
-          }
-          dot += w_row[t] * (cone ? 1.0 : frac[t]);
-        }
-      }
-      ses.ub_src[i] = plan_.scale * dot;
-      ub_acc += ses.ub_src[i];
-    }
-    const double ub_total = provider_.b_of(u_) * ub_acc - fees - cost;
-    // Safety margin: the dot products reassociate the accumulation's float
-    // sums, so pad the bound before comparing against the threshold. The
-    // oracles accept only on STRICT improvement past the threshold, so a
-    // candidate at or below it can never win — returning the bound keeps
-    // their control flow identical to seeing the true value.
-    const double margin = 1e-6 + 1e-9 * std::abs(ub_total);
-    if (ub_total + margin <= threshold_) {
-      ++stats.pruned;
+  // The separator filter (DESIGN.md §8.2). The separator value is not
+  // bitwise the exact one, so it is only ever returned at or below the
+  // threshold; the oracles accept only on STRICT improvement past it, so
+  // their control flow is the same as on the exact value. The margin
+  // covers the two values' rounding differences.
+  if (filtered() && threshold_ > -inf) {
+    if (!separator_) build_separator();
+    const double value =
+        provider_.b_of(u_) * separator_betweenness() - fees - cost;
+    if (value + 1e-6 + 1e-9 * std::abs(value) <= threshold_) {
+      ++provider_.mutable_stats().pruned;
       flip(/*on=*/false);
-      return ub_total;
+      return value;
     }
   }
-
-  // --- Exact phase, shared by both modes. Sources merge in ascending order
-  // with one scale-multiplied addition each, exactly the sweep engine's
-  // sequence. Full mode re-sweeps every source; incremental mode re-sweeps
-  // only the affected ones and replays the cached cone on the base view for
-  // the rest. The toggled graph is frozen once, at the first source that
-  // needs a re-sweep and survives the truncation check.
-  //
-  // Early termination (DESIGN.md §8): when bounding, each source's bound
-  // contribution from the phase above dominates its exact contribution, so
-  // exact-prefix + bound-suffix is itself an upper bound on the final
-  // total. Once that drops to the threshold (margin-padded), the remaining
-  // re-sweeps cannot change the oracle's decision and the merge stops —
-  // the returned partial bound sits below the strict acceptance cut just
-  // like the true value would.
-  if (bounding) {
-    std::vector<double>& suffix = session_->suffix;
-    suffix.assign(plan_.sources.size() + 1, 0.0);
-    for (std::size_t i = plan_.sources.size(); i-- > 0;) {
-      suffix[i] = suffix[i + 1] + session_->ub_src[i];
-    }
-  }
-  std::optional<graph::csr_graph> toggled;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < plan_.sources.size(); ++i) {
-    double delta_u = 0.0;
-    if (session_ && !session_->affected[i]) {
-      delta_u = graph::cone_dependency(base_cone(i), row(i), cone_);
-      ++stats.accumulations;
-    } else {
-      if (bounding) {
-        const double potential =
-            provider_.b_of(u_) * (acc + session_->suffix[i]) - fees - cost;
-        const double margin = 1e-6 + 1e-9 * std::abs(potential);
-        if (potential + margin <= threshold_) {
-          ++stats.truncated;
-          flip(/*on=*/false);
-          return potential;
-        }
-      }
-      if (!toggled) toggled = graph::freeze(work_);
-      delta_u = graph::sweep_dependency(*toggled, plan_.sources[i], u_, row(i),
-                                        cone_);
-      ++(session_ ? stats.resweeps : stats.full_sweeps);
-    }
-    acc += plan_.scale * delta_u;
-  }
-  const double revenue = provider_.b_of(u_) * acc;
+  const double value = provider_.b_of(u_) * exact_betweenness() - fees - cost;
   flip(/*on=*/false);
-  return revenue - fees - cost;
+  return value;
 }
 
 }  // namespace lcg::arena

@@ -3,50 +3,29 @@
 // Every oracle candidate is a tiny set of channel toggles against the
 // activation's base graph. candidate_evaluator prices each one by u's
 // Brandes dependency delta_s(u) alone, over the source plan of
-// graph::betweenness_source_plan, in ascending source order: the cone
-// kernels of graph/betweenness.h accumulate only u's descendant cone and
-// reproduce the sweep engine's delta_s(u) bit for bit. Weight rows come
-// from one dist::sender_rows per evaluation, whose in-degrees are the
-// resting graph's patched by the toggled channels. In full mode that is all
-// it does: every plan source is re-swept on one freeze of the toggled
-// graph. Incremental mode exploits the toggle structure per oracle
-// call (DESIGN.md §8):
+// graph::betweenness_source_plan, in ascending source order. Weight rows
+// come from one dist::sender_rows per evaluation, whose in-degrees are the
+// resting graph's patched by the toggled channels.
 //
-//   1. SHARED-PIVOT REUSE — the pivot SSSP forest of the base graph is
-//      built at most once per activation (the pivot set of
-//      node_betweenness_of depends only on (n, k, seed, u), never on edges,
-//      so it is identical across candidates) and cached provider-wide per
-//      base graph, together with the graph's frozen CSR view that every
-//      sweep and accumulation runs on, so activations between applied
-//      moves share forests across players. For each candidate, only
-//      sources whose DAG the toggles can affect
-//      (graph::toggle_affects_source) are re-swept, on one freeze of the
-//      toggled graph taken at the first such source; all other sources
-//      reuse the cached DAG bits and re-run just the cone accumulation
-//      (a per-source cone list built once per session) with the
-//      candidate's weight rows — bitwise equal to a fresh sweep because the
-//      DAG bits are provably unchanged. Pruned and truncated
-//      candidates never freeze.
-//   2. UPPER-BOUND PRUNING — before any sweep, a candidate's utility is
-//      bounded from above using weight-row dot products against cached
-//      through-fractions plus slack only on pairs whose shortest paths a
-//      toggle could actually reroute (all toggles are incident to u, so the
-//      "possibly affected pair" cone is computable from base BFS arrays).
-//      Candidates whose bound cannot beat the incumbent are discarded
-//      without a single sweep. Sound because oracle comparisons are strict
-//      and the bound is only consumed BELOW the acceptance threshold.
+// The exact phase is the same code in both provider modes: one freeze of
+// the evaluated graph and graph::sweep_dependency from every plan source,
+// which reproduces the sweep engine's delta_s(u) bit for bit. base_value
+// always runs it. In incremental mode a candidate evaluated under a finite
+// threshold first passes the SEPARATOR FILTER (DESIGN.md §8): every toggle
+// touches u, so shortest paths in G - u (u's edges removed) are the same
+// for every candidate, and graph::separator_dependency prices delta_s(u)
+// from sweeps of G - u that the activation shares. A candidate whose
+// separator value plus a margin cannot beat the threshold returns that
+// value without a sweep; every other candidate runs the exact phase.
 //
-// The mode only switches the forest, the affected-source classification
-// and the bounds on or off; the fee BFS, the infinite-fee short cut and
-// the exact merge are shared code. Results are BIT-IDENTICAL between modes
-// and to topology::node_utility under the exact backend — pinned by
-// tests/arena_incremental_test.cpp, tests/arena_engine_test.cpp and the
-// toggle-sequence sections of graph_betweenness_property_test.
+// Results are BIT-IDENTICAL between modes and to topology::node_utility
+// under the exact backend — pinned by tests/arena_incremental_test.cpp,
+// tests/arena_engine_test.cpp and the BetweennessToggle sections of
+// graph_betweenness_property_test.
 
 #ifndef LCG_ARENA_INCREMENTAL_H
 #define LCG_ARENA_INCREMENTAL_H
 
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -73,7 +52,7 @@ class candidate_evaluator {
   /// (both as the oracles produce them). Every add must be a new channel:
   /// not u, not repeated, and not already connected to u in either
   /// direction (precondition_error otherwise). The provider's mode selects
-  /// whether the incremental machinery runs.
+  /// whether the separator filter runs.
   candidate_evaluator(const utility_provider& provider,
                       const graph::digraph& base, graph::node_id u,
                       const std::vector<graph::node_id>& own,
@@ -81,36 +60,41 @@ class candidate_evaluator {
   ~candidate_evaluator();
 
   /// U_u(base) — bitwise equal to topology::node_utility(base, u).total
-  /// under the exact backend, in both modes. Incremental mode serves it
-  /// from the session forest with zero fresh sweeps beyond the forest
-  /// itself; full mode sweeps every plan source on one freeze of the base
-  /// graph.
+  /// under the exact backend, in both modes: the exact phase on one freeze
+  /// of the base graph.
   [[nodiscard]] double base_value();
 
   /// Utility of `u` with exactly the channels to `set` active. In
-  /// incremental mode a candidate whose upper bound cannot exceed the
-  /// current threshold returns that bound (a value <= threshold) without
-  /// sweeping; otherwise the returned value is bitwise equal to full
-  /// mode's. Counts one logical provider evaluation either way.
+  /// incremental mode a candidate whose separator value plus margin cannot
+  /// exceed the current threshold returns that value (<= threshold)
+  /// without sweeping; otherwise the returned value is bitwise equal to
+  /// full mode's. Counts one logical provider evaluation either way.
   [[nodiscard]] double evaluate(const std::vector<graph::node_id>& set);
 
-  /// Pruning threshold: candidates that cannot strictly exceed it may be
-  /// discarded on their upper bound alone. Callers with non-threshold
-  /// acceptance logic (the greedy engine compares candidates among each
-  /// other) must leave it at -infinity, which disables pruning.
+  /// Filter threshold: candidates that cannot strictly exceed it may be
+  /// settled by the separator value alone. -infinity (the default) turns
+  /// the filter off; callers set it only where acceptance is strictly
+  /// above it (DESIGN.md §8.3).
   void set_threshold(double threshold) noexcept { threshold_ = threshold; }
 
  private:
-  struct session;  // incremental-mode cached state (forest, cones, BFS)
+  struct separator;  // G - u sweeps and per-candidate scratch
 
   /// Flips the candidate's toggled channels (removed_ and added_) on or
   /// back off, patching rows_' in-degrees to match.
   void flip(bool on);
-  /// Base DAG for plan source i — provider-cache hit or one forest sweep
-  /// on the cached frozen view of the resting graph.
-  const graph::sp_dag& base_dag(std::size_t i);
-  /// u's dependency cone in base_dag(i), built on first use.
-  const graph::dependency_cone& base_cone(std::size_t i);
+  /// Whether the provider's mode runs the separator filter.
+  [[nodiscard]] bool filtered() const noexcept;
+  /// Sweeps G - u from every plan source and every out-neighbour u can
+  /// have; counted as forest sweeps.
+  void build_separator();
+  /// Sum over the plan of scale * delta_s(u) for the flipped candidate, by
+  /// the separator identity (after fill_rows).
+  [[nodiscard]] double separator_betweenness();
+  /// The same sum from the exact phase: one freeze of the work graph's
+  /// current state and one sweep_dependency per plan source, merged in
+  /// ascending order (after fill_rows).
+  [[nodiscard]] double exact_betweenness();
   /// E_fees of u in the work graph's current state; writes u's p_trans
   /// row into the last row slot.
   double expected_fees();
@@ -132,8 +116,8 @@ class candidate_evaluator {
   std::vector<double> row_buf_;        // row i at [i * n, (i + 1) * n); u's last
   std::vector<std::size_t> removed_;   // candidate's own slots switched off
   std::vector<std::size_t> added_;     // candidate's add slots switched on
-  graph::cone_scratch cone_;           // cone-kernel scratch
-  std::unique_ptr<session> session_;   // null in full mode
+  graph::cone_scratch cone_;           // sweep_dependency scratch
+  std::unique_ptr<separator> separator_;  // built on the first filtered call
 };
 
 }  // namespace lcg::arena

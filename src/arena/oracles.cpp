@@ -97,25 +97,37 @@ std::optional<topology::deviation> greedy_propose(
 
   std::vector<graph::node_id> candidates = own;
   candidates.insert(candidates.end(), adds.begin(), adds.end());
-  // One evaluation seam for both provider modes (arena/incremental.h); the
-  // greedy engine compares candidates among each other rather than against
-  // a fixed threshold, so upper-bound pruning stays disabled here and the
-  // incremental path contributes shared-pivot DAG reuse only.
+  // One evaluation seam for both provider modes (arena/incremental.h).
+  // plain_greedy takes a strict argmax within each step, so the best value
+  // among the strategies of the current size is a valid filter threshold:
+  // a candidate that cannot beat it can never be the step's choice. The
+  // first candidate of each step sees -infinity.
   candidate_evaluator evaluator(provider, state.graph(), u, own, adds);
   const double base = evaluator.base_value();
   if (candidates.empty()) return std::nullopt;
 
+  std::size_t step_size = 0;
+  double step_best = -std::numeric_limits<double>::infinity();
   const core::objective_fn objective = [&](const core::strategy& s) {
+    if (s.size() != step_size) {
+      step_size = s.size();
+      step_best = -std::numeric_limits<double>::infinity();
+    }
     std::vector<graph::node_id> set;
     set.reserve(s.size());
     for (const core::action& a : s) set.push_back(a.peer);
-    return evaluator.evaluate(set);
+    evaluator.set_threshold(step_best);
+    const double value = evaluator.evaluate(set);
+    step_best = std::max(step_best, value);
+    return value;
   };
   const core::greedy_result rebuilt = core::greedy_fixed_lock(
       objective, candidates, /*lock=*/0.0, options.max_channels);
   // Owning no channels at all is a legal strategy (u may stay connected
   // through counterparties' channels); the greedy engine only reports
-  // non-empty prefixes, so compare against the empty set explicitly.
+  // non-empty prefixes, so compare against the empty set explicitly, at
+  // its exact value.
+  evaluator.set_threshold(-std::numeric_limits<double>::infinity());
   const double empty_value = evaluator.evaluate({});
 
   std::vector<graph::node_id> chosen;
@@ -163,8 +175,8 @@ std::optional<topology::deviation> local_propose(
                   for (const std::size_t i : ad) chosen.push_back(adds[i]);
                   std::sort(chosen.begin(), chosen.end());
                   // Acceptance is strict (> threshold), so the incremental
-                  // path may discard a candidate on its upper bound alone;
-                  // the returned bound then sits at or below the threshold
+                  // path may settle a candidate by its separator value
+                  // alone; that value then sits at or below the threshold
                   // and both branches below stay false, exactly as the
                   // true value would.
                   if (finite_base) {

@@ -102,7 +102,6 @@ void publish_sweeps(const sweep_stats& st) {
   reg.get_counter("arena/accumulate_source").add(st.accumulations);
   reg.get_counter("arena/run_support_bfs").add(st.support_bfs);
   reg.get_counter("arena/prune_candidate").add(st.pruned);
-  reg.get_counter("arena/truncate_merge").add(st.truncated);
 }
 
 }  // namespace

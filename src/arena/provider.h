@@ -33,7 +33,6 @@
 #define LCG_ARENA_PROVIDER_H
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -44,8 +43,6 @@
 
 namespace lcg::arena {
 
-struct base_dag_cache;  // arena/incremental.cpp
-
 /// The library-wide default for provider_options::exact_threshold — the one
 /// named constant scenarios reference instead of re-inventing magic numbers.
 /// NOT to be confused with scale/sampled_betweenness's `exact_threshold`
@@ -55,16 +52,16 @@ struct base_dag_cache;  // arena/incremental.cpp
 inline constexpr std::size_t default_exact_threshold = 192;
 
 /// How candidate_evaluator prices utilities. Both modes return
-/// BIT-IDENTICAL results — the incremental path is an evaluation-order
-/// optimisation, never an approximation (tests pin utilities and whole
-/// arena runs byte-equal).
+/// BIT-IDENTICAL results — the filter only skips exact work whose result
+/// could not change an oracle decision (tests pin utilities and whole arena
+/// runs byte-equal).
 ///
-///  * full        — every evaluation sweeps all plan sources from scratch,
-///    on one freeze of the evaluated graph.
-///  * incremental — oracle activations cache the base graph's per-source
-///    DAGs once, re-sweep only sources the candidate's edge toggles can
-///    affect (graph::toggle_affects_source) and prune candidates whose
-///    utility upper bound cannot beat the incumbent (DESIGN.md §8).
+///  * full        — unfiltered: every evaluation sweeps all plan sources on
+///    one freeze of the evaluated graph.
+///  * incremental — filtered: a candidate evaluated under a finite
+///    threshold is priced first by the separator identity over sweeps of
+///    G - u that the activation shares, and runs the exact sweeps only when
+///    that value plus a margin can beat the threshold (DESIGN.md §8).
 enum class provider_mode { full, incremental };
 
 /// Parses "full" / "incremental"; throws precondition_error otherwise
@@ -89,18 +86,16 @@ struct provider_options {
 
 /// The arena's sweep cost ledger: how many single-source shortest-path DAG
 /// constructions betweenness work actually performed ("effective source
-/// sweeps" — the metric BENCH_arena.json tracks), split by origin. Cheap
-/// O(n + m) accumulations over cached DAGs and the auxiliary plain BFS
-/// passes (fees, bound cones) are tallied separately — they are not
-/// sweeps.
+/// sweeps" — the metric BENCH_arena.json tracks), split by origin. The
+/// separator's per-source pricing and the fee BFS of every evaluation are
+/// tallied separately — they are not sweeps (DESIGN.md §8.4).
 struct sweep_stats {
-  std::uint64_t full_sweeps = 0;     ///< node_scores + full-mode sweeps
-  std::uint64_t forest = 0;          ///< session base-forest constructions
-  std::uint64_t resweeps = 0;        ///< affected-source re-sweeps
-  std::uint64_t accumulations = 0;   ///< cached-DAG reuses (no BFS)
-  std::uint64_t support_bfs = 0;     ///< fee BFS + incremental bound BFS
-  std::uint64_t pruned = 0;          ///< candidates discarded bound-only
-  std::uint64_t truncated = 0;       ///< exact phases cut short mid-merge
+  std::uint64_t full_sweeps = 0;     ///< node_scores + unfiltered exact sweeps
+  std::uint64_t forest = 0;          ///< G - u sweeps of the separator filter
+  std::uint64_t resweeps = 0;        ///< filtered-mode exact sweeps
+  std::uint64_t accumulations = 0;   ///< sources priced by the separator
+  std::uint64_t support_bfs = 0;     ///< fee BFS, one per evaluation
+  std::uint64_t pruned = 0;          ///< candidates settled by the filter
   [[nodiscard]] std::uint64_t effective_sweeps() const noexcept {
     return full_sweeps + forest + resweeps;
   }
@@ -189,9 +184,9 @@ class utility_provider {
   [[nodiscard]] std::vector<double> node_scores(const graph::digraph& g) const;
 
   /// Utility evaluations consumed so far (the arena's cost ledger). This is
-  /// a LOGICAL counter: the incremental mode's pruned or cache-served
-  /// candidates still count one evaluation each, so the column stays
-  /// byte-identical between modes.
+  /// a LOGICAL counter: the incremental mode's pruned candidates still
+  /// count one evaluation each, so the column stays byte-identical between
+  /// modes.
   [[nodiscard]] std::uint64_t evaluations() const noexcept {
     return evaluations_;
   }
@@ -204,16 +199,6 @@ class utility_provider {
   void count_logical_evaluation() const noexcept { ++evaluations_; }
   [[nodiscard]] sweep_stats& mutable_stats() const noexcept { return stats_; }
 
-  /// Shared base-graph DAG cache for the incremental mode (defined in
-  /// arena/incremental.cpp): a base SSSP DAG depends only on the graph, not
-  /// on the evaluated node, so consecutive activations over an unchanged
-  /// graph reuse each other's forests. Keyed on the exact active-edge list —
-  /// never a hash — so a stale hit is impossible.
-  [[nodiscard]] std::shared_ptr<base_dag_cache>& mutable_dag_cache()
-      const noexcept {
-    return dag_cache_;
-  }
-
  private:
   topology::game_params params_;
   provider_options options_;
@@ -221,7 +206,6 @@ class utility_provider {
   const std::vector<char>* active_ = nullptr;
   mutable std::uint64_t evaluations_ = 0;
   mutable sweep_stats stats_;
-  mutable std::shared_ptr<base_dag_cache> dag_cache_;
   mutable std::vector<double> rank_masses_;
 };
 

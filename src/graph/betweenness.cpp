@@ -331,82 +331,52 @@ void source_dependencies(const csr_graph& c, const sp_dag& dag, node_id s,
   accumulate_over_dag(c, dag, s, w, nullptr, delta);
 }
 
-bool toggle_affects_source(const std::vector<std::int32_t>& dist,
-                           const edge_toggle& t) {
-  const std::int32_t da = dist[t.src];
-  const std::int32_t db = dist[t.dst];
-  if (da == unreachable) return false;  // tail never reached: edge unscanned
-  if (t.added) return db == unreachable || da + 1 <= db;
-  return db == da + 1;  // removal: exactly the pred[dst] membership test
-}
-
-std::vector<double> through_fractions(const csr_graph& c, const sp_dag& dag,
-                                      node_id u) {
-  std::vector<double> frac(c.node_count(), 0.0);
-  if (dag.dist[u] == unreachable) return frac;
-  std::vector<double> psi(c.node_count(), 0.0);  // shortest paths via u
-  psi[u] = dag.sigma[u];
-  // Forward pass in non-decreasing distance: every pred of v is strictly
-  // closer, so its psi is final when v is processed.
-  for (const node_id v : dag.order) {
-    if (v == u || dag.dist[v] <= dag.dist[u]) continue;
-    double via = 0.0;
-    for (const edge_id k : dag.pred[v]) via += psi[c.edge_src(k)];
-    psi[v] = via;
-    if (via > 0.0) frac[v] = via / dag.sigma[v];
-  }
-  return frac;
-}
-
-void build_dependency_cone(const csr_graph& c, const sp_dag& dag, node_id u,
-                           dependency_cone& out) {
-  out.node.clear();
-  out.offset.clear();
-  out.pred.clear();
-  out.ratio.clear();
-  LCG_EXPECTS(!dag.order.empty() && dag.order.front() != u);  // u != s
-  if (dag.dist[u] == unreachable) return;
-  // local[v]: v's index in out.node, for u and the cone found so far.
-  constexpr std::uint32_t none = static_cast<std::uint32_t>(-1);
-  std::vector<std::uint32_t> local(c.node_count(), none);
-  local[u] = 0;
-  out.node.push_back(u);
-  out.offset.assign(2, 0);
-  // Nodes after u in BFS order; a node joins the cone when one of its DAG
-  // in-edges leaves u or a cone node, all of which precede it.
-  auto it = std::find(dag.order.begin(), dag.order.end(), u);
-  for (++it; it != dag.order.end(); ++it) {
-    const node_id v = *it;
-    const std::size_t entries = out.pred.size();
-    for (const edge_id k : dag.pred[v]) {
-      const node_id t = c.edge_src(k);
-      if (local[t] == none) continue;
-      out.pred.push_back(local[t]);
-      out.ratio.push_back(dag.sigma[t] / dag.sigma[v]);
+double separator_dependency(std::span<const std::int32_t> dist,
+                            std::span<const double> sigma,
+                            std::int32_t dist_su, double sigma_su,
+                            std::span<const std::int32_t> dist_ut,
+                            std::span<const double> sigma_ut,
+                            std::span<const double> w) {
+  if (dist_su == unreachable) return 0.0;
+  double delta = 0.0;
+  for (std::size_t t = 0; t < w.size(); ++t) {
+    if (dist_ut[t] == unreachable) continue;
+    // t == u is skipped above (dist_ut[u] is unreachable), and t == s
+    // never counts: d_minus(s, s) == 0 < via.
+    const std::int32_t via = dist_su + dist_ut[t];
+    const std::int32_t direct = dist[t];
+    if (direct == unreachable || via < direct) {
+      delta += w[t];  // every shortest s -> t path passes u
+    } else if (via == direct) {
+      const double through = sigma_su * sigma_ut[t];
+      delta += w[t] * (through / (sigma[t] + through));
     }
-    if (out.pred.size() == entries) continue;
-    local[v] = static_cast<std::uint32_t>(out.node.size());
-    out.node.push_back(v);
-    out.offset.push_back(static_cast<std::uint32_t>(out.pred.size()));
   }
+  return delta;
 }
 
-double cone_dependency(const dependency_cone& cone, std::span<const double> w,
-                       cone_scratch& scratch) {
-  const std::size_t k = cone.node.size();
+namespace {
+
+/// delta_s(u) accumulated over the cone sweep_dependency staged in
+/// `scratch`; O(cone edges). This is accumulate_over_dag's float sequence
+/// restricted to the cone: the ratio is its sigma[pred] / sigma[v], taken
+/// before the multiplication there (DESIGN.md §8.5).
+double cone_dependency(cone_scratch& scratch, std::span<const double> w) {
+  const std::size_t k = scratch.cone_node.size();
   if (k < 2) return 0.0;  // u unreachable, or no shortest path leaves it
   std::vector<double>& delta = scratch.delta;
   delta.assign(k, 0.0);
-  // accumulate_over_dag's float sequence restricted to the cone: the ratio
-  // is its sigma[pred] / sigma[v], taken before the multiplication there.
   for (std::size_t i = k; i-- > 1;) {
-    const double through = w[cone.node[i]] + delta[i];
-    for (std::uint32_t j = cone.offset[i]; j < cone.offset[i + 1]; ++j) {
-      delta[cone.pred[j]] += cone.ratio[j] * through;
+    const double through = w[scratch.cone_node[i]] + delta[i];
+    for (std::uint32_t j = scratch.cone_offset[i];
+         j < scratch.cone_offset[i + 1]; ++j) {
+      delta[scratch.cone_pred[j]] += scratch.cone_ratio[j] * through;
     }
   }
   return delta[0];
 }
+
+}  // namespace
 
 double sweep_dependency(const csr_graph& c, node_id s, node_id u,
                         std::span<const double> w, cone_scratch& scratch) {
@@ -425,11 +395,10 @@ double sweep_dependency(const csr_graph& c, node_id s, node_id u,
   x.order.clear();
   x.next.clear();
   x.tail.clear();
-  dependency_cone& cone = x.cone;
-  cone.node.clear();
-  cone.pred.clear();
-  cone.ratio.clear();
-  cone.offset.assign(1, 0);
+  x.cone_node.clear();
+  x.cone_pred.clear();
+  x.cone_ratio.clear();
+  x.cone_offset.assign(1, 0);
 
   x.dist[s] = 0;
   x.sigma[s] = 1.0;
@@ -443,14 +412,15 @@ double sweep_dependency(const csr_graph& c, node_id s, node_id u,
     if (marked) {
       // Every in-edge of v from u or the cone is staged and every pred's
       // sigma is final by now, so v's cone entry is complete.
-      local = static_cast<std::uint32_t>(cone.node.size());
-      cone.node.push_back(v);
+      local = static_cast<std::uint32_t>(x.cone_node.size());
+      x.cone_node.push_back(v);
       for (std::int32_t e = x.first[v]; e != empty; e = x.next[e]) {
         const std::uint32_t t = x.tail[e];
-        cone.pred.push_back(t);
-        cone.ratio.push_back(x.sigma[cone.node[t]] / x.sigma[v]);
+        x.cone_pred.push_back(t);
+        x.cone_ratio.push_back(x.sigma[x.cone_node[t]] / x.sigma[v]);
       }
-      cone.offset.push_back(static_cast<std::uint32_t>(cone.pred.size()));
+      x.cone_offset.push_back(
+          static_cast<std::uint32_t>(x.cone_pred.size()));
     }
     for (csr_graph::packed_id k = c.row_begin(v); k < c.row_end(v); ++k) {
       const node_id t = c.edge_dst(k);
@@ -477,7 +447,7 @@ double sweep_dependency(const csr_graph& c, node_id s, node_id u,
     x.first[v] = unmarked;
   }
   x.first[u] = unmarked;  // u itself may be unreachable
-  return cone_dependency(cone, w, scratch);
+  return cone_dependency(x, w);
 }
 
 betweenness_result weighted_betweenness_naive(const digraph& g,

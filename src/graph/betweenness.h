@@ -156,17 +156,17 @@ class csr_graph;  // graph/csr.h
 [[nodiscard]] betweenness_result weighted_betweenness_naive(
     const digraph& g, const pair_weight_fn& w);
 
-// --- Reusable per-source sweep state (the incremental provider's seam) ----
+// --- Pricing one node's dependency (the arena evaluator's seam) ----------
 //
-// The arena's toggle-aware evaluation path (arena/incremental.h) prices a
-// candidate by delta_s(u) alone, summed over the source plan below. It
-// re-sweeps only the sources whose shortest-path DAG a candidate edge toggle
-// can affect; for every other source it reuses the base graph's cached
-// sp_dag. Both halves accumulate over u's dependency cone only (the cone
-// kernels below), which reproduces the full backward accumulation's
-// delta_s(u) bit for bit (DESIGN.md §8.4). source_dependencies is the full
-// accumulation itself, kept as the reference the cone kernels are pinned
-// against.
+// The arena's candidate evaluator (arena/incremental.h) prices a candidate
+// by delta_s(u) alone, summed over the source plan below in ascending
+// source order. Every candidate toggles only channels that touch u, so it
+// first prices delta_s(u) with separator_dependency, from sweeps of G - u
+// that all candidates share; only candidates that can still win run the
+// exact kernel, sweep_dependency, which reproduces the full backward
+// accumulation's delta_s(u) bit for bit (DESIGN.md §8.5).
+// source_dependencies is the full accumulation itself, kept as the
+// reference sweep_dependency is pinned against.
 
 struct sp_dag;  // graph/traversal.h
 
@@ -193,62 +193,26 @@ struct source_plan {
 void source_dependencies(const csr_graph& c, const sp_dag& dag, node_id s,
                          const pair_weight_fn& w, std::vector<double>& delta);
 
-/// One directed edge flipped between active and inactive.
-struct edge_toggle {
-  node_id src = invalid_node;
-  node_id dst = invalid_node;
-  bool added = true;  // true: edge becomes active; false: it goes inactive
-};
+/// delta_s(u) through u as a separator (Brandes 2001's Bellman criterion).
+/// `dist` and `sigma` are the hop distances and path counts from s in G - u
+/// (u's edges removed). `dist_su` and `sigma_su` are d(s, u) and sigma(s, u)
+/// in G (`unreachable` when no path exists). `dist_ut[t]` and `sigma_ut[t]`
+/// are d(u, t) and sigma(u, t) in G, with dist_ut[u] == unreachable.
+/// Returns the sum over t of w[t] * f(t), where f = 1 when
+/// d(s,u) + d(u,t) < d_minus(s,t), f = sigma_su * sigma_ut /
+/// (sigma_minus(s,t) + sigma_su * sigma_ut) when the two are equal, and 0
+/// otherwise. This equals sweep_dependency in exact arithmetic but not in
+/// its bits, so the arena uses it only as a filter with a margin. O(n).
+[[nodiscard]] double separator_dependency(
+    std::span<const std::int32_t> dist, std::span<const double> sigma,
+    std::int32_t dist_su, double sigma_su,
+    std::span<const std::int32_t> dist_ut, std::span<const double> sigma_ut,
+    std::span<const double> w);
 
-/// Whether applying `t` can change shortest_path_dag(g, s) AT ALL, judged
-/// from the base DAG's distance vector (`dist`). Sound and exact:
-///  * added edge (a, b): only matters when a is reachable and the new arc
-///    could create a shortest path into b, i.e. dist[b] == unreachable or
-///    dist[a] + 1 <= dist[b]. Otherwise BFS scans-and-rejects it (b already
-///    settled strictly closer), leaving dist/sigma/pred/order bit-identical.
-///  * removed edge (a, b): only matters when it sits on a shortest path,
-///    i.e. a reachable and dist[b] == dist[a] + 1 (exactly the membership
-///    condition for pred[b]). Otherwise BFS never used it.
-/// A FALSE verdict guarantees the toggled graph's sp_dag from s has the base
-/// one's dist, sigma and order bitwise (new edge slots append to adjacency
-/// lists, so traversal order of the surviving edges is unchanged); pred
-/// differs only in which packed ids name the same edges. Tests pin this on
-/// the property-test corpus. For a channel, test both orientations and OR.
-[[nodiscard]] bool toggle_affects_source(const std::vector<std::int32_t>& dist,
-                                         const edge_toggle& t);
-
-/// frac[t] = sigma_st(u) / sigma_st — the fraction of shortest s->t paths
-/// running THROUGH u (frac[s] = frac[u] = 0; unreachable t: 0), computed by
-/// one forward pass over the cached DAG. Weight-independent, so one vector
-/// per (source, u) prices dot-product bounds for ANY candidate weight row:
-/// delta_s(u) == sum_t w(s, t) * frac[t] in exact arithmetic.
-[[nodiscard]] std::vector<double> through_fractions(const csr_graph& c,
-                                                    const sp_dag& dag,
-                                                    node_id u);
-
-// --- u-restricted Brandes kernels ------------------------------------------
-//
-// delta_s(u) needs only u's dependency cone: u and every node reached from u
-// over shortest-path DAG edges. Every child of a cone node is in the cone,
-// so each cone node's dependency is complete once the cone is accumulated;
-// every pred receives one addition per child in reverse-BFS order, the
-// full accumulation's sequence, so the result equals source_dependencies'
-// delta[u] bit for bit. The weight row is the sender's: w[t] == w(s, t).
-
-/// u's cone for one source: node[0] == u, then the cone in BFS order. The
-/// DAG in-edges of node[i] whose tail is u or a cone node are the entries
-/// [offset[i], offset[i + 1]): the tail's index in `node` and the ratio
-/// sigma[tail] / sigma[node[i]]. Empty when u is unreachable from s.
-struct dependency_cone {
-  std::vector<node_id> node;
-  std::vector<std::uint32_t> offset;
-  std::vector<std::uint32_t> pred;
-  std::vector<double> ratio;
-};
-
-/// Buffers the cone kernels reuse across calls; a warm scratch sweeps
-/// without allocating. Holds no result between calls (sweep_dependency
-/// leaves dist, sigma and first reset); callers leave its fields alone.
+/// Buffers sweep_dependency reuses across calls; a warm scratch sweeps
+/// without allocating. Holds no result between calls (dist, sigma and
+/// first are reset where a sweep touched them); callers leave its fields
+/// alone.
 struct cone_scratch {
   std::vector<std::int32_t> dist;
   std::vector<double> sigma;
@@ -256,25 +220,23 @@ struct cone_scratch {
   std::vector<node_id> order;       // BFS FIFO
   std::vector<std::int32_t> next;   // staged in-edge chain
   std::vector<std::uint32_t> tail;  // staged in-edge tail (cone index)
-  dependency_cone cone;
+  // u's cone: cone_node[0] == u, then the cone in BFS order; the in-edges
+  // of cone_node[i] from u or a cone node are [cone_offset[i],
+  // cone_offset[i + 1]) of cone_pred (tail's cone index) and cone_ratio
+  // (sigma[tail] / sigma[node]).
+  std::vector<node_id> cone_node;
+  std::vector<std::uint32_t> cone_offset;
+  std::vector<std::uint32_t> cone_pred;
+  std::vector<double> cone_ratio;
   std::vector<double> delta;
 };
 
-/// u's cone in a cached DAG (`dag` == shortest_path_dag(c, s), u != s):
-/// built once per (source, u) and replayed by cone_dependency for any
-/// weight row. O(n + m).
-void build_dependency_cone(const csr_graph& c, const sp_dag& dag, node_id u,
-                           dependency_cone& out);
-
-/// delta_s(u) accumulated over a cone; O(cone edges).
-[[nodiscard]] double cone_dependency(const dependency_cone& cone,
-                                     std::span<const double> w,
-                                     cone_scratch& scratch);
-
-/// delta_s(u) from a fresh sweep of `c` (s != u): a BFS for dist, sigma and
-/// order that stages only the DAG edges leaving u or a cone node, and stops
-/// once u and every cone node have been dequeued; then cone_dependency.
-/// Bitwise equal to source_dependencies(c, shortest_path_dag(c, s), s, w)[u].
+/// delta_s(u) from a fresh sweep of `c` (s != u), where w[t] == w(s, t) is
+/// the sender's weight row: a BFS for dist, sigma and order that stages
+/// only the DAG edges leaving u or a node of u's dependency cone, and stops
+/// once u and every cone node have been dequeued; then the backward
+/// accumulation over the cone alone. Bitwise equal to
+/// source_dependencies(c, shortest_path_dag(c, s), s, w)[u].
 [[nodiscard]] double sweep_dependency(const csr_graph& c, node_id s,
                                       node_id u, std::span<const double> w,
                                       cone_scratch& scratch);

@@ -15,18 +15,14 @@ namespace {
 /// histogram record enabled.
 struct view_metrics {
   obs::counter& freeze;
-  obs::counter& thaw;
   obs::histogram& freeze_seconds;
-  obs::histogram& thaw_seconds;
   static const view_metrics& get() {
     auto& reg = obs::registry::global();
     static const std::vector<double> bounds{1e-6, 1e-5, 1e-4, 1e-3,
                                             0.01, 0.1,  1,    10};
     static const view_metrics m{
         reg.get_counter("graph/freeze_view"),
-        reg.get_counter("graph/thaw_view"),
         reg.get_histogram("graph/freeze_seconds", bounds),
-        reg.get_histogram("graph/thaw_seconds", bounds),
     };
     return m;
   }
@@ -60,18 +56,6 @@ csr_graph freeze(const digraph& g) {
   }
   LCG_ENSURES(c.col_.size() == m);
   return c;
-}
-
-digraph thaw(const csr_graph& c) {
-  obs::scoped_timer timer(view_metrics::get().thaw_seconds);
-  view_metrics::get().thaw.add();
-  digraph g(c.node_count());
-  for (node_id v = 0; v < c.node_count(); ++v) {
-    c.for_each_out(v, [&](csr_graph::packed_id k, node_id dst) {
-      g.add_edge(v, dst, c.edge_capacity(k));
-    });
-  }
-  return g;
 }
 
 std::vector<std::int32_t> bfs_distances(const csr_graph& c, node_id src) {

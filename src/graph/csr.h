@@ -25,9 +25,8 @@
 //
 // freeze() is O(n + m) and allocation-lean; the intended pattern is: mutate
 // the digraph, freeze once, run many read-only sweeps on the view, throw it
-// away (or thaw() back to a compact digraph for interchange). The arena's
-// candidate evaluator freezes each toggled candidate graph once before its
-// re-sweeps (arena/incremental.h).
+// away. The arena's candidate evaluator freezes each candidate graph that
+// reaches the exact phase once before its sweeps (arena/incremental.h).
 
 #ifndef LCG_GRAPH_CSR_H
 #define LCG_GRAPH_CSR_H
@@ -121,15 +120,6 @@ class csr_graph {
 
 /// O(n + m) flat snapshot of the active edges, per-node order preserved.
 [[nodiscard]] csr_graph freeze(const digraph& g);
-
-/// Mutable digraph with the SAME topology, capacities and per-node
-/// adjacency order as the view. Edge ids are compacted to the packed
-/// indices 0..m-1 (inactive source slots do not survive a freeze), so
-/// freeze(thaw(c)) reproduces c's row/col/capacity arrays exactly with
-/// edge_slot(k) == k; when the source digraph had no inactive slots and its
-/// edge ids were already grouped by source node, thaw(freeze(g)) == g edge
-/// for edge.
-[[nodiscard]] digraph thaw(const csr_graph& c);
 
 /// Hop distances from `src` (same contract as the digraph overload in
 /// graph/traversal.h; bitwise-equal output).

@@ -1,9 +1,10 @@
-// The incremental provider mode's equivalence contract: mode=incremental is
-// an evaluation-order optimisation, NEVER an approximation. Whole arena runs
-// must be BITWISE identical to mode=full — same moves with the same utility
-// doubles, same logical evaluation count, same outcome — while performing
-// strictly fewer effective source-sweeps. DESIGN.md §8 documents why this
-// holds (affected-source predicate, pruning soundness).
+// The incremental provider mode's equivalence contract: mode=incremental
+// (the separator filter) skips exact work, NEVER approximates a decision.
+// Whole arena runs must be BITWISE identical to mode=full — same moves with
+// the same utility doubles, same logical evaluation count, same outcome —
+// while performing strictly fewer effective source-sweeps. DESIGN.md §8
+// documents why this holds (separator identity, filter soundness under
+// strict acceptance).
 
 #include "arena/incremental.h"
 
@@ -120,13 +121,17 @@ TEST(IncrementalMode, SweepLedgerAccountsEveryPath) {
   const arena_result inc =
       run_mode(start, oracle_kind::local, activation_order::round_robin, 0,
                provider_mode::incremental, 5);
-  // Incremental runs build forests and reuse them; the full-sweep counter
-  // only grows through node_scores.
+  // Incremental runs sweep G - u (forest), price sources by the separator
+  // (accumulations), settle some candidates on that value (pruned) and
+  // sweep the rest exactly (resweeps); the full-sweep counter only grows
+  // through node_scores. Every evaluation runs one fee BFS.
   EXPECT_GT(inc.sweeps.forest, 0u);
   EXPECT_GT(inc.sweeps.accumulations, 0u);
-  // Full mode skips the forest, the classification and the bounds: every
-  // evaluation runs exactly one BFS (the fee BFS) and nothing is reused,
-  // pruned or truncated.
+  EXPECT_GT(inc.sweeps.pruned, 0u);
+  EXPECT_GT(inc.sweeps.resweeps, 0u);
+  EXPECT_EQ(inc.sweeps.support_bfs, inc.evaluations);
+  // Full mode runs no filter: every evaluation sweeps every plan source
+  // (full_sweeps) and nothing is priced by the separator or pruned.
   const arena_result full =
       run_mode(start, oracle_kind::local, activation_order::round_robin, 0,
                provider_mode::full, 5);
@@ -135,15 +140,34 @@ TEST(IncrementalMode, SweepLedgerAccountsEveryPath) {
   EXPECT_EQ(full.sweeps.resweeps, 0u);
   EXPECT_EQ(full.sweeps.accumulations, 0u);
   EXPECT_EQ(full.sweeps.pruned, 0u);
-  EXPECT_EQ(full.sweeps.truncated, 0u);
   EXPECT_GT(full.sweeps.full_sweeps, inc.sweeps.full_sweeps);
+}
+
+TEST(IncrementalMode, GreedyOracleFiltersAgainstTheStepBest) {
+  // The greedy oracle passes each step's best value as the threshold, so
+  // incremental greedy runs settle candidates on the separator value — and
+  // stay bitwise equal to full mode, under exact and sampled backends.
+  for (const std::size_t threshold : {std::size_t{0}, std::size_t{192}}) {
+    SCOPED_TRACE("threshold=" + std::to_string(threshold));
+    const graph::digraph start = make_start("ws", 20, 41);
+    const arena_result full =
+        run_mode(start, oracle_kind::greedy, activation_order::round_robin,
+                 threshold, provider_mode::full, 17);
+    const arena_result inc =
+        run_mode(start, oracle_kind::greedy, activation_order::round_robin,
+                 threshold, provider_mode::incremental, 17);
+    expect_equal_runs(full, inc);
+    EXPECT_GT(inc.sweeps.pruned, 0u);
+    EXPECT_LT(inc.sweeps.effective_sweeps(), full.sweeps.effective_sweeps());
+  }
 }
 
 TEST(IncrementalMode, EvaluatorMatchesProviderPerCandidate) {
   // Direct per-candidate equivalence, independent of the engine: every
   // candidate own-set the local oracle would enumerate evaluates to the
-  // same bits through both modes, including sets that trigger re-sweeps
-  // (added channels) and pure accumulation reuse.
+  // same bits through both modes without a threshold (added channels,
+  // dropped channels, the empty set), and obeys the filter contract with
+  // one.
   const graph::digraph start = make_start("ws", 18, 3);
   topology::game_params params;
   params.l = 1.5;
@@ -174,11 +198,34 @@ TEST(IncrementalMode, EvaluatorMatchesProviderPerCandidate) {
       std::vector<graph::node_id> drop_first(own.begin() + 1, own.end());
       sets.push_back(drop_first);
     }
+    std::vector<double> exact;
     for (const auto& set : sets) {
-      EXPECT_EQ(full_eval.evaluate(set), inc_eval.evaluate(set))
+      exact.push_back(full_eval.evaluate(set));
+      EXPECT_EQ(exact.back(), inc_eval.evaluate(set))
           << "set size " << set.size() << " threshold " << threshold;
     }
     EXPECT_EQ(full.evaluations(), inc.evaluations());
+
+    // Under a threshold at the median exact value, the filter settles some
+    // candidates by their separator value, which must then sit at or below
+    // the threshold together with the exact value; the rest come back
+    // bitwise exact. Full mode ignores the threshold.
+    std::vector<double> sorted = exact;
+    std::sort(sorted.begin(), sorted.end());
+    const double cut = sorted[sorted.size() / 2];
+    full_eval.set_threshold(cut);
+    inc_eval.set_threshold(cut);
+    const std::uint64_t pruned_before = inc.stats().pruned;
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      EXPECT_EQ(full_eval.evaluate(sets[i]), exact[i]);
+      const double value = inc_eval.evaluate(sets[i]);
+      if (value != exact[i]) {
+        EXPECT_LE(value, cut) << "set " << i;
+        EXPECT_LE(exact[i], cut) << "set " << i;
+      }
+    }
+    EXPECT_GT(inc.stats().pruned, pruned_before);
+    EXPECT_EQ(full.stats().pruned, 0u);
   }
 }
 

@@ -83,8 +83,7 @@ set(arena_keys family n channels_start topology oracle order pivots mode
     sweep_reduction converged joins leaves conservation_gap final_shape
     host_hw_threads obs wall_ms evals_per_ms)
 set(arena_obs arena/sweep_full arena/build_forest arena/resweep_source
-    arena/accumulate_source arena/run_support_bfs arena/prune_candidate
-    arena/truncate_merge)
+    arena/accumulate_source arena/run_support_bfs arena/prune_candidate)
 set(arena_cover family oracle mode)
 set(payments_keys n channels topology retry gossip_refresh payments delivered
     success_rate events host_hw_threads obs wall_ms payments_per_sec)

@@ -416,12 +416,12 @@ TEST(BetweennessInvariant, WorkerExceptionPropagatesFromParallelBackend) {
 }
 
 // ---------------------------------------------------------------------------
-// Toggle-aware incremental contract (the graph-side half of
-// arena/incremental.cpp): random channel-toggle sequences over the corpus.
-// toggle_affects_source must pin every source it clears — the toggled
-// graph's DAG bitwise equal to the base one — and the cached-DAG evaluation
-// plan must reproduce a fresh full evaluation exactly, for both the exact
-// and the sampled source plans.
+// The arena evaluator's two kernels (arena/incremental.cpp), over random
+// channel-toggle sequences on the corpus: the exact phase (sweep_dependency
+// per plan source on one freeze, merged in ascending order) must reproduce
+// the engine bit for bit, and the separator value, priced from sweeps of
+// G - u that every toggle of u's channels leaves unchanged, must match it
+// far inside the filter's margin.
 // ---------------------------------------------------------------------------
 
 /// Undirected channels of g (both directions active), as (a < b) pairs.
@@ -438,108 +438,33 @@ std::vector<std::pair<node_id, node_id>> channel_list(const digraph& g) {
   return out;
 }
 
-/// A frozen DAG's pred lists in original digraph edge ids (packed ids are
-/// positions in one particular freeze, so only slots compare across two).
-std::vector<std::vector<edge_id>> pred_slots(const csr_graph& c,
-                                             const sp_dag& dag) {
-  std::vector<std::vector<edge_id>> out(dag.pred.size());
-  for (node_id v = 0; v < dag.pred.size(); ++v) {
-    for (const edge_id k : dag.pred[v]) out[v].push_back(c.edge_slot(k));
-  }
-  return out;
-}
-
-/// Applies one channel toggle and returns the pair of directed edge_toggles
-/// the affected-source predicate sees. Additions append fresh slots (the
-/// slot-order property the bitwise contract relies on); removals deactivate
-/// both directions in place.
-std::vector<edge_toggle> apply_channel_toggle(digraph& g, node_id a, node_id b,
-                                              bool add) {
+/// Applies one channel toggle. Additions append fresh slots; removals
+/// deactivate both directions in place.
+void apply_channel_toggle(digraph& g, node_id a, node_id b, bool add) {
   if (add) {
     g.add_bidirectional(a, b);
   } else {
-    const edge_id f = g.find_edge(a, b);
-    const edge_id r = g.find_edge(b, a);
-    g.remove_edge(f);
-    g.remove_edge(r);
-  }
-  return {{a, b, add}, {b, a, add}};
-}
-
-TEST(BetweennessToggle, UnaffectedSourceDagsAreBitwiseStable) {
-  for (const corpus_case& c : build_corpus()) {
-    const std::size_t n = c.g.node_count();
-    if (n < 5) continue;
-    digraph g = c.g;
-    rng gen(0xf005ba11ULL + n);
-    for (std::size_t step = 0; step < 4; ++step) {
-      // Base DAGs of the CURRENT graph, then one random channel toggle —
-      // removal of an existing channel or addition of a missing one.
-      const csr_graph base_view = freeze(g);
-      std::vector<sp_dag> base;
-      base.reserve(n);
-      for (node_id s = 0; s < n; ++s) {
-        base.push_back(shortest_path_dag(base_view, s));
-      }
-
-      const std::vector<std::pair<node_id, node_id>> channels =
-          channel_list(g);
-      const bool add = channels.empty() || gen.uniform01() < 0.5;
-      node_id a = 0, b = 0;
-      if (add) {
-        // A not-currently-connected pair (complete graphs fall back to a
-        // parallel channel, which the predicate must also classify).
-        for (std::size_t tries = 0; tries < 32 && a == b; ++tries) {
-          const auto x = static_cast<node_id>(
-              gen.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-          const auto y = static_cast<node_id>(
-              gen.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-          if (x != y && g.find_edge(x, y) == invalid_edge) {
-            a = x;
-            b = y;
-            break;
-          }
-        }
-        if (a == b) continue;  // could not find an addable pair
-      } else {
-        const auto pick = static_cast<std::size_t>(gen.uniform_int(
-            0, static_cast<std::int64_t>(channels.size()) - 1));
-        a = channels[pick].first;
-        b = channels[pick].second;
-      }
-      const std::vector<edge_toggle> toggles =
-          apply_channel_toggle(g, a, b, add);
-      const csr_graph toggled_view = freeze(g);
-
-      for (node_id s = 0; s < n; ++s) {
-        bool affected = false;
-        for (const edge_toggle& t : toggles) {
-          affected = affected || toggle_affects_source(base[s].dist, t);
-        }
-        if (affected) continue;
-        const sp_dag fresh = shortest_path_dag(toggled_view, s);
-        const std::string ctx = c.name + " step=" + std::to_string(step) +
-                                " s=" + std::to_string(s);
-        EXPECT_EQ(fresh.dist, base[s].dist) << ctx;
-        EXPECT_EQ(fresh.sigma, base[s].sigma) << ctx;
-        EXPECT_EQ(fresh.order, base[s].order) << ctx;
-        // Packed ids shift with the toggle; the edges they name do not.
-        EXPECT_EQ(pred_slots(toggled_view, fresh),
-                  pred_slots(base_view, base[s]))
-            << ctx;
-      }
-      // The sequence continues from the toggled graph.
-    }
+    g.remove_edge(g.find_edge(a, b));
+    g.remove_edge(g.find_edge(b, a));
   }
 }
 
-TEST(BetweennessToggle, CachedPlanEvaluationMatchesFullExactAndSampled) {
-  // The arena's evaluation recipe, replayed against the public engine:
-  // classify plan sources with the base forest, re-sweep only the affected
-  // ones on the toggled graph, accumulate everything in ascending source
-  // order — the result must be BITWISE equal to node_betweenness_of on the
-  // toggled graph, under the exact plan and a genuinely sampled one.
+/// The sender's weight row w(s, .), the span the kernels take.
+std::vector<double> weight_row(const pair_weight_fn& w, node_id s,
+                               std::size_t n) {
+  std::vector<double> row(n);
+  for (node_id t = 0; t < n; ++t) row[t] = w(s, t);
+  return row;
+}
+
+TEST(BetweennessToggle, FrozenPlanEvaluationMatchesFullExactAndSampled) {
+  // The arena's exact phase replayed against the public engine: one freeze
+  // of the toggled graph, sweep_dependency for every plan source, merged in
+  // ascending source order with one scale-multiplied addition each. The
+  // result must be BITWISE equal to node_betweenness_of on the toggled
+  // graph, under the exact plan and a genuinely sampled one.
   std::size_t exercised = 0;
+  cone_scratch scratch;
   for (const corpus_case& c : build_corpus()) {
     const std::size_t n = c.g.node_count();
     if (n < 6 || n > 13) continue;
@@ -555,50 +480,28 @@ TEST(BetweennessToggle, CachedPlanEvaluationMatchesFullExactAndSampled) {
     for (const betweenness_options& options : {exact, sampled}) {
       digraph g = c.g;
       const source_plan plan = betweenness_source_plan(n, options, u);
-      const csr_graph base_view = freeze(g);
-      std::vector<sp_dag> base;
-      base.reserve(plan.sources.size());
-      for (const node_id s : plan.sources) {
-        base.push_back(shortest_path_dag(base_view, s));
-      }
-
       // Toggle a u-incident channel pattern, like an oracle candidate:
       // remove one existing u-channel (if any) and add one new u-channel.
-      std::vector<edge_toggle> toggles;
-      for (node_id v = 0; v < n; ++v) {
+      bool toggled = false;
+      for (node_id v = 0; v < n && !toggled; ++v) {
         if (v != u && g.find_edge(u, v) != invalid_edge) {
-          const std::vector<edge_toggle> t =
-              apply_channel_toggle(g, u, v, /*add=*/false);
-          toggles.insert(toggles.end(), t.begin(), t.end());
-          break;
+          apply_channel_toggle(g, u, v, /*add=*/false);
+          toggled = true;
         }
       }
       for (node_id v = 0; v < n; ++v) {
         if (v != u && g.find_edge(u, v) == invalid_edge) {
-          const std::vector<edge_toggle> t =
-              apply_channel_toggle(g, u, v, /*add=*/true);
-          toggles.insert(toggles.end(), t.begin(), t.end());
+          apply_channel_toggle(g, u, v, /*add=*/true);
+          toggled = true;
           break;
         }
       }
-      if (toggles.empty()) continue;
-      const csr_graph toggled_view = freeze(g);
-
+      if (!toggled) continue;
+      const csr_graph view = freeze(g);
       double acc = 0.0;
-      std::vector<double> delta;
-      for (std::size_t i = 0; i < plan.sources.size(); ++i) {
-        const node_id s = plan.sources[i];
-        bool affected = false;
-        for (const edge_toggle& t : toggles) {
-          affected = affected || toggle_affects_source(base[i].dist, t);
-        }
-        if (affected) {
-          const sp_dag fresh = shortest_path_dag(toggled_view, s);
-          source_dependencies(toggled_view, fresh, s, c.w, delta);
-        } else {
-          source_dependencies(base_view, base[i], s, c.w, delta);
-        }
-        acc += plan.scale * delta[u];
+      for (const node_id s : plan.sources) {
+        acc += plan.scale * sweep_dependency(view, s, u,
+                                             weight_row(c.w, s, n), scratch);
       }
       EXPECT_EQ(acc, node_betweenness_of(g, u, c.w, options))
           << c.name << " u=" << u << " backend "
@@ -609,69 +512,29 @@ TEST(BetweennessToggle, CachedPlanEvaluationMatchesFullExactAndSampled) {
   EXPECT_GE(exercised, 20u);
 }
 
-TEST(BetweennessToggle, ThroughFractionsMatchSigmaRatios) {
-  // frac[t] must equal sigma_st(u) / sigma_st — computed independently via
-  // the product form sigma_su * sigma_ut on distance-tight triples.
-  for (const corpus_case& c : build_corpus()) {
-    const std::size_t n = c.g.node_count();
-    if (n < 5 || n > 12) continue;
-    const csr_graph view = freeze(c.g);
-    for (node_id s = 0; s < n; s += 2) {
-      const sp_dag dag_s = shortest_path_dag(view, s);
-      for (node_id u = 1; u < n; u += 3) {
-        const std::vector<double> frac = through_fractions(view, dag_s, u);
-        const sp_dag dag_u = shortest_path_dag(view, u);
-        for (node_id t = 0; t < n; ++t) {
-          if (t == u) continue;
-          double want = 0.0;
-          if (dag_s.dist[t] != unreachable && dag_s.dist[u] != unreachable &&
-              dag_u.dist[t] != unreachable &&
-              dag_s.dist[u] + dag_u.dist[t] == dag_s.dist[t]) {
-            want = dag_s.sigma[u] * dag_u.sigma[t] / dag_s.sigma[t];
-          }
-          EXPECT_NEAR(frac[t], want, 1e-12)
-              << c.name << " s=" << s << " u=" << u << " t=" << t;
-        }
-      }
-    }
-  }
-}
-
-TEST(BetweennessToggle, ConeDependencyMatchesFullAccumulation) {
-  // Both cone kernels against the full backward accumulation, bit for bit:
-  // the fresh-sweep kernel on views re-frozen along a random channel-toggle
-  // sequence (parallel channels included), the cached-DAG kernel on the
-  // base view. Every (s, u) pair is checked, so u unreachable from s, u a
-  // leaf of the DAG and u adjacent to s all occur; the counters pin that.
+TEST(BetweennessToggle, SweepDependencyMatchesFullAccumulation) {
+  // The exact kernel against the full backward accumulation, bit for bit,
+  // on each corpus graph and on views re-frozen along a random
+  // channel-toggle sequence (parallel channels included). Every (s, u)
+  // pair is checked, so u unreachable from s, u a leaf of the DAG and u
+  // adjacent to s all occur; the counters pin that.
   std::size_t unreachable_u = 0, leaf_u = 0, adjacent_u = 0;
   cone_scratch scratch;
-  dependency_cone cone;
   std::vector<double> delta;
   for (const corpus_case& c : build_corpus()) {
     const std::size_t n = c.g.node_count();
     if (n < 2) continue;
-    std::vector<std::vector<double>> rows(n, std::vector<double>(n));
-    for (node_id s = 0; s < n; ++s) {
-      for (node_id t = 0; t < n; ++t) rows[s][t] = c.w(s, t);
-    }
-    const auto check = [&](const csr_graph& view, bool cached,
-                           const std::string& ctx) {
+    const auto check = [&](const csr_graph& view, const std::string& ctx) {
       for (node_id s = 0; s < n; ++s) {
         const sp_dag dag = shortest_path_dag(view, s);
         source_dependencies(view, dag, s, c.w, delta);
+        const std::vector<double> row = weight_row(c.w, s, n);
         for (node_id u = 0; u < n; ++u) {
           if (u == s) continue;
-          double got = 0.0;
-          if (cached) {
-            build_dependency_cone(view, dag, u, cone);
-            got = cone_dependency(cone, rows[s], scratch);
-          } else {
-            got = sweep_dependency(view, s, u, rows[s], scratch);
-          }
+          const double got = sweep_dependency(view, s, u, row, scratch);
           ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
                     std::bit_cast<std::uint64_t>(delta[u]))
-              << ctx << (cached ? " cached" : " fresh") << " s=" << s
-              << " u=" << u;
+              << ctx << " s=" << s << " u=" << u;
           if (dag.dist[u] == unreachable) {
             ++unreachable_u;
           } else if (delta[u] == 0.0) {
@@ -682,7 +545,7 @@ TEST(BetweennessToggle, ConeDependencyMatchesFullAccumulation) {
       }
     };
     digraph g = c.g;
-    check(freeze(g), /*cached=*/true, c.name);
+    check(freeze(g), c.name);
     rng gen(0xc0de + n);
     for (int step = 0; step < 3; ++step) {
       const auto channels = channel_list(g);
@@ -701,13 +564,152 @@ TEST(BetweennessToggle, ConeDependencyMatchesFullAccumulation) {
         b = pick.second;
       }
       apply_channel_toggle(g, a, b, add);
-      check(freeze(g), /*cached=*/false,
-            c.name + " step=" + std::to_string(step));
+      check(freeze(g), c.name + " step=" + std::to_string(step));
     }
   }
   EXPECT_GT(unreachable_u, 0u);
   EXPECT_GT(leaf_u, 0u);
   EXPECT_GT(adjacent_u, 0u);
+}
+
+/// Folds a last hop into (distance, path count): the evaluator's recipe
+/// for d(s, u) over u's in-edges and d(u, t) over its out-edges.
+void fold_hop(std::int32_t d, double sigma, std::int32_t& best,
+              double& count) {
+  if (d == unreachable) return;
+  if (best == unreachable || d + 1 < best) {
+    best = d + 1;
+    count = sigma;
+  } else if (d + 1 == best) {
+    count += sigma;
+  }
+}
+
+TEST(BetweennessToggle, SeparatorMatchesConeSweepWithinMargin) {
+  // The arena's separator filter against the exact kernel. Per corpus
+  // graph: a node u, a directed counterparty edge into u that no toggle
+  // touches, and slots for up to two of u's channels and two new ones.
+  // G - u is swept ONCE, before the toggles; then, along a random sequence
+  // of slot toggles, every plan source's separator value must match
+  // sweep_dependency on the re-frozen view within the filter's margin
+  // (1e-6 + 1e-9 |v|) / 10^3, for the exact plan and a sampled one.
+  std::size_t checks = 0, unreachable_u = 0, adjacent_u = 0;
+  std::size_t counterparty = 0, sampled_checks = 0;
+  cone_scratch scratch;
+  for (const corpus_case& c : build_corpus()) {
+    const std::size_t n = c.g.node_count();
+    if (n < 3) continue;
+    rng gen(0x5e9a7a + n);
+    const auto u = static_cast<node_id>(
+        gen.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    digraph g = c.g;
+    node_id counterparty_tail = invalid_node;
+    for (node_id v = 0; v < n; ++v) {
+      if (v != u && g.find_edge(v, u) == invalid_edge &&
+          g.find_edge(u, v) == invalid_edge) {
+        g.add_edge(v, u);
+        counterparty_tail = v;
+        break;
+      }
+    }
+    // Slots: (u -> peer, peer -> u) edge pairs, switched on and off in
+    // place like the evaluator's; new channels start switched off.
+    std::vector<std::pair<edge_id, edge_id>> slots;
+    for (const auto& [a, b] : channel_list(g)) {
+      if (slots.size() == 2 || (a != u && b != u)) continue;
+      const node_id peer = a == u ? b : a;
+      slots.emplace_back(g.find_edge(u, peer), g.find_edge(peer, u));
+    }
+    for (node_id v = 0; v < n && slots.size() < 4; ++v) {
+      if (v == u || g.find_edge(u, v) != invalid_edge ||
+          g.find_edge(v, u) != invalid_edge)
+        continue;
+      const edge_id forward = g.add_bidirectional(u, v);
+      g.remove_edge(forward);
+      g.remove_edge(forward + 1);
+      slots.emplace_back(forward, forward + 1);
+    }
+
+    digraph minus = g;
+    for (edge_id e = 0; e < minus.edge_slots(); ++e) {
+      const edge& ed = minus.edge_at(e);
+      if (minus.edge_active(e) && (ed.src == u || ed.dst == u))
+        minus.remove_edge(e);
+    }
+    const csr_graph minus_view = freeze(minus);
+    std::vector<sp_dag> minus_dag;
+    for (node_id v = 0; v < n; ++v)
+      minus_dag.push_back(shortest_path_dag(minus_view, v));
+
+    betweenness_options sampled;
+    sampled.backend = betweenness_backend::sampled;
+    sampled.sample_pivots = (n - 1) / 2;
+    sampled.rng_seed = 0xbead + n;
+    for (int step = 0; step < 6; ++step) {
+      if (step > 0 && !slots.empty()) {
+        const auto [forward, reverse] =
+            slots[static_cast<std::size_t>(gen.uniform_int(
+                0, static_cast<std::int64_t>(slots.size()) - 1))];
+        if (g.edge_active(forward)) {
+          g.remove_edge(forward);
+          g.remove_edge(reverse);
+        } else {
+          g.restore_edge(forward);
+          g.restore_edge(reverse);
+        }
+      }
+      // d(u, t) and sigma(u, t) over the candidate's out-edges.
+      std::vector<std::int32_t> dist_ut(n, unreachable);
+      std::vector<double> sigma_ut(n, 0.0);
+      g.for_each_out(u, [&](edge_id, const edge& ed) {
+        for (node_id t = 0; t < n; ++t) {
+          fold_hop(minus_dag[ed.dst].dist[t], minus_dag[ed.dst].sigma[t],
+                   dist_ut[t], sigma_ut[t]);
+        }
+      });
+      const csr_graph view = freeze(g);
+      for (const betweenness_options& options :
+           {betweenness_options{}, sampled}) {
+        const source_plan plan = betweenness_source_plan(n, options, u);
+        double sep_total = 0.0, exact_total = 0.0;
+        for (const node_id s : plan.sources) {
+          std::int32_t dist_su = unreachable;
+          double sigma_su = 0.0;
+          g.for_each_in(u, [&](edge_id, const edge& ed) {
+            fold_hop(minus_dag[s].dist[ed.src], minus_dag[s].sigma[ed.src],
+                     dist_su, sigma_su);
+          });
+          const std::vector<double> row = weight_row(c.w, s, n);
+          const double exact = sweep_dependency(view, s, u, row, scratch);
+          const double sep = separator_dependency(
+              minus_dag[s].dist, minus_dag[s].sigma, dist_su, sigma_su,
+              dist_ut, sigma_ut, row);
+          EXPECT_LE(std::abs(sep - exact),
+                    (1e-6 + 1e-9 * std::abs(exact)) / 1e3)
+              << c.name << " step=" << step << " s=" << s << " u=" << u
+              << " sep=" << sep << " exact=" << exact;
+          sep_total += plan.scale * sep;
+          exact_total += plan.scale * exact;
+          ++checks;
+          if (dist_su == unreachable) ++unreachable_u;
+          if (dist_su == 1) ++adjacent_u;
+          if (counterparty_tail != invalid_node &&
+              minus_dag[s].dist[counterparty_tail] != unreachable)
+            ++counterparty;
+          if (options.backend == betweenness_backend::sampled)
+            ++sampled_checks;
+        }
+        EXPECT_LE(std::abs(sep_total - exact_total),
+                  (1e-6 + 1e-9 * std::abs(exact_total)) / 1e3)
+            << c.name << " step=" << step << " u=" << u;
+      }
+    }
+  }
+  EXPECT_GT(checks, 1000u);
+  EXPECT_GT(unreachable_u, 0u);
+  EXPECT_GT(adjacent_u, 0u);
+  EXPECT_GT(counterparty, 0u);
+  EXPECT_GT(sampled_checks, 0u);
 }
 
 TEST(BetweennessInvariant, BackendNamesRoundTrip) {
