@@ -32,8 +32,9 @@
 // any divergence, so the bench doubles as the mode-equivalence gate at
 // bench scale. It also exits 1 unless every pair evaluated utilities,
 // churn applied joins and leaves with a zero deposit gap (and no other
-// family churned), incremental swept less than full, and its separator
-// filter pruned at least one candidate (greedy and local oracles alike).
+// family churned), incremental swept less than full, and it settled at
+// least one candidate by its separator value without an exact phase
+// (`pruned`; greedy and local oracles alike).
 // `effective_sweeps` counts single-source DAG constructions (the metric the
 // incremental mode exists to cut); `sweep_reduction` on incremental records
 // is full/incremental for the same configuration.
@@ -184,7 +185,7 @@ const char* pair_violation(const bench_record& full,
   if (inc.effective_sweeps == 0 ||
       inc.effective_sweeps >= full.effective_sweeps)
     return "incremental did not sweep less than full";
-  if (inc.pruned == 0) return "the separator filter pruned no candidate";
+  if (inc.pruned == 0) return "the separator settled no candidate";
   return nullptr;
 }
 

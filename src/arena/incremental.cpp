@@ -33,10 +33,10 @@ void fold_hop(std::int32_t d, double sigma, std::int32_t& best,
 
 }  // namespace
 
-/// The separator filter's per-activation state (DESIGN.md §8.1): hop
-/// distances and path counts in G - u (the resting graph with every edge of
-/// u removed), one row of n per sweep root, plus per-candidate scratch.
-/// Built on the first filtered evaluation.
+/// The separator's per-activation state (DESIGN.md §8.1): hop distances
+/// and path counts in G - u (the resting graph with every edge of u
+/// removed), one row of n per sweep root, plus per-candidate scratch.
+/// Built when a candidate is first priced by the separator.
 struct candidate_evaluator::separator {
   // Row r at [r * n, (r + 1) * n). Roots: the plan sources, then peers_ in
   // slot order, then the head of each out-edge of u outside the slot table
@@ -102,13 +102,34 @@ std::span<const double> candidate_evaluator::row(std::size_t i) const {
   return {row_buf_.data() + i * n, n};
 }
 
+void candidate_evaluator::select(const std::vector<graph::node_id>& set) {
+  // The candidate's toggle set: channels leaving and joining u's own set.
+  removed_.clear();
+  added_.clear();
+  for (std::size_t i = 0; i < peers_.size(); ++i) {
+    const bool in_set = std::find(set.begin(), set.end(), peers_[i]) !=
+                        set.end();
+    if (i < own_count_ && !in_set) removed_.push_back(i);
+    if (i >= own_count_ && in_set) added_.push_back(i);
+  }
+}
+
 double candidate_evaluator::expected_fees() {
   const std::size_t n = work_.node_count();
   const std::span<double> own(row_buf_.data() + plan_.sources.size() * n, n);
   rows_.row(work_, u_, own);
+  const double a = provider_.a_of(u_);
+  if (separator_) {
+    // d(u, t) from the G - u rows (DESIGN.md §8.1): integer hop counts, so
+    // the sum is the BFS one term for term. The fold leaves d(u, u)
+    // unreachable where a BFS has 0, which never counts: u's own entry of
+    // its p_trans row is 0.
+    fold_out();
+    return graph::expected_hop_cost(own, separator_->dist_ut, 1, a);
+  }
   const std::vector<std::int32_t> dist_u = graph::bfs_distances(work_, u_);
   ++provider_.mutable_stats().support_bfs;
-  return graph::expected_hop_cost(own, dist_u, 1, provider_.a_of(u_));
+  return graph::expected_hop_cost(own, dist_u, 1, a);
 }
 
 void candidate_evaluator::fill_rows() {
@@ -137,8 +158,8 @@ void candidate_evaluator::flip(bool on) {
   for (const std::size_t slot : added_) set_channel(slot, on);
 }
 
-bool candidate_evaluator::filtered() const noexcept {
-  return provider_.options().mode == provider_mode::incremental;
+bool candidate_evaluator::prices_are_exact() const noexcept {
+  return provider_.options().mode == provider_mode::full;
 }
 
 void candidate_evaluator::build_separator() {
@@ -179,6 +200,29 @@ void candidate_evaluator::build_separator() {
   provider_.mutable_stats().forest += roots.size();
 }
 
+void candidate_evaluator::fold_out() {
+  separator& x = *separator_;
+  const std::size_t n = work_.node_count();
+  const std::size_t sources = plan_.sources.size();
+  // The candidate's out-edges of u: every slot it has switched on (flip has
+  // run, so the work graph says which) plus the counterparty channels.
+  x.out.clear();
+  for (std::size_t slot = 0; slot < peers_.size(); ++slot) {
+    if (work_.edge_active(pairs_[slot].first)) x.out.push_back(sources + slot);
+  }
+  for (std::size_t j = 0; j < x.fixed_out; ++j)
+    x.out.push_back(sources + peers_.size() + j);
+  // d(u, t) and sigma(u, t), shared by every source.
+  x.dist_ut.assign(n, graph::unreachable);
+  x.sigma_ut.assign(n, 0.0);
+  for (const std::size_t r : x.out) {
+    const std::int32_t* dist = x.dist.data() + r * n;
+    const double* sigma = x.sigma.data() + r * n;
+    for (graph::node_id t = 0; t < n; ++t)
+      fold_hop(dist[t], sigma[t], x.dist_ut[t], x.sigma_ut[t]);
+  }
+}
+
 double candidate_evaluator::separator_betweenness() {
   separator& x = *separator_;
   const std::size_t n = work_.node_count();
@@ -189,23 +233,11 @@ double candidate_evaluator::separator_betweenness() {
   const auto sigma = [&](std::size_t r) {
     return std::span<const double>(x.sigma.data() + r * n, n);
   };
-  // The candidate's u-edges: the counterparty channels plus every slot the
-  // candidate has switched on (flip has run, so the work graph says which).
+  // The candidate's in-edges of u: the counterparty channels plus every
+  // slot it has switched on.
   x.in = x.fixed_in;
-  x.out.clear();
   for (std::size_t slot = 0; slot < peers_.size(); ++slot) {
-    if (!work_.edge_active(pairs_[slot].first)) continue;
-    x.in.push_back(peers_[slot]);
-    x.out.push_back(sources + slot);
-  }
-  for (std::size_t j = 0; j < x.fixed_out; ++j)
-    x.out.push_back(sources + peers_.size() + j);
-  // d(u, t) and sigma(u, t), shared by every source.
-  x.dist_ut.assign(n, graph::unreachable);
-  x.sigma_ut.assign(n, 0.0);
-  for (const std::size_t r : x.out) {
-    for (graph::node_id t = 0; t < n; ++t)
-      fold_hop(dist(r)[t], sigma(r)[t], x.dist_ut[t], x.sigma_ut[t]);
+    if (work_.edge_active(pairs_[slot].first)) x.in.push_back(peers_[slot]);
   }
   double acc = 0.0;
   for (std::size_t i = 0; i < sources; ++i) {
@@ -231,59 +263,73 @@ double candidate_evaluator::exact_betweenness() {
                                                  row(i), cone_);
   }
   sweep_stats& stats = provider_.mutable_stats();
-  (filtered() ? stats.resweeps : stats.full_sweeps) += plan_.sources.size();
+  (prices_are_exact() ? stats.full_sweeps : stats.resweeps) +=
+      plan_.sources.size();
   return acc;
+}
+
+bool candidate_evaluator::open(const std::vector<graph::node_id>& set) {
+  select(set);
+  flip(/*on=*/true);
+  fees_ = expected_fees();
+  // total is -inf no matter what revenue is, so no row or sweep is needed.
+  if (std::isinf(fees_)) return false;
+  fill_rows();
+  cost_ = provider_.l_of(u_) * provider_.params().cost_share *
+          static_cast<double>(work_.out_degree(u_));
+  return true;
+}
+
+double candidate_evaluator::total(double betweenness) const {
+  return provider_.b_of(u_) * betweenness - fees_ - cost_;
 }
 
 double candidate_evaluator::base_value() {
   provider_.count_logical_evaluation();
-  const double fees = expected_fees();
-  if (std::isinf(fees)) return -inf;
-  fill_rows();
-  const double cost = provider_.l_of(u_) * provider_.params().cost_share *
-                      static_cast<double>(work_.out_degree(u_));
-  return provider_.b_of(u_) * exact_betweenness() - fees - cost;
+  const auto own_end = peers_.begin() + static_cast<std::ptrdiff_t>(own_count_);
+  return exact(std::vector<graph::node_id>(peers_.begin(), own_end));
+}
+
+double candidate_evaluator::exact(const std::vector<graph::node_id>& set) {
+  const double value = open(set) ? total(exact_betweenness()) : -inf;
+  flip(/*on=*/false);
+  return value;
+}
+
+double candidate_evaluator::price(const std::vector<graph::node_id>& set) {
+  provider_.count_logical_evaluation();
+  if (prices_are_exact()) return exact(set);
+  if (!separator_) build_separator();
+  const double value = open(set) ? total(separator_betweenness()) : -inf;
+  flip(/*on=*/false);
+  return value;
 }
 
 double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   provider_.count_logical_evaluation();
-  // The candidate's toggle set: channels leaving and joining u's own set.
-  removed_.clear();
-  added_.clear();
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    const bool in_set = std::find(set.begin(), set.end(), peers_[i]) !=
-                        set.end();
-    if (i < own_count_ && !in_set) removed_.push_back(i);
-    if (i >= own_count_ && in_set) added_.push_back(i);
-  }
-
-  flip(/*on=*/true);
-  const double fees = expected_fees();
-  if (std::isinf(fees)) {
-    // total is -inf no matter what revenue is, so no sweep is needed.
-    flip(/*on=*/false);
-    return -inf;
-  }
-  fill_rows();
-  const double cost = provider_.l_of(u_) * provider_.params().cost_share *
-                      static_cast<double>(work_.out_degree(u_));
-
   // The separator filter (DESIGN.md §8.2). The separator value is not
   // bitwise the exact one, so it is only ever returned at or below the
-  // threshold; the oracles accept only on STRICT improvement past it, so
-  // their control flow is the same as on the exact value. The margin
-  // covers the two values' rounding differences.
-  if (filtered() && threshold_ > -inf) {
-    if (!separator_) build_separator();
-    const double value =
-        provider_.b_of(u_) * separator_betweenness() - fees - cost;
-    if (value + 1e-6 + 1e-9 * std::abs(value) <= threshold_) {
+  // threshold; the greedy oracle accepts only on STRICT improvement past
+  // it, so its control flow is the same as on the exact value.
+  const bool filter = !prices_are_exact() && threshold_ > -inf;
+  if (filter && !separator_) build_separator();
+  double value = -inf;
+  if (open(set)) {
+    if (filter) value = total(separator_betweenness());
+    if (filter && value + separator_margin(value) <= threshold_) {
       ++provider_.mutable_stats().pruned;
-      flip(/*on=*/false);
-      return value;
+    } else {
+      value = total(exact_betweenness());
     }
   }
-  const double value = provider_.b_of(u_) * exact_betweenness() - fees - cost;
+  flip(/*on=*/false);
+  return value;
+}
+
+double candidate_evaluator::fees(const std::vector<graph::node_id>& set) {
+  select(set);
+  flip(/*on=*/true);
+  const double value = expected_fees();
   flip(/*on=*/false);
   return value;
 }

@@ -7,18 +7,29 @@
 // come from one dist::sender_rows per evaluation, whose in-degrees are the
 // resting graph's patched by the toggled channels.
 //
-// The exact phase is the same code in both provider modes: one freeze of
+// The EXACT PHASE is the same code in both provider modes: one freeze of
 // the evaluated graph and graph::sweep_dependency from every plan source,
-// which reproduces the sweep engine's delta_s(u) bit for bit. base_value
-// always runs it. In incremental mode a candidate evaluated under a finite
-// threshold first passes the SEPARATOR FILTER (DESIGN.md §8): every toggle
-// touches u, so shortest paths in G - u (u's edges removed) are the same
-// for every candidate, and graph::separator_dependency prices delta_s(u)
-// from sweeps of G - u that the activation shares. A candidate whose
-// separator value plus a margin cannot beat the threshold returns that
-// value without a sweep; every other candidate runs the exact phase.
+// which reproduces the sweep engine's delta_s(u) bit for bit. In
+// incremental mode a candidate may instead be priced by its SEPARATOR
+// VALUE (DESIGN.md §8): every toggle touches u, so shortest paths in G - u
+// (u's edges removed) are the same for every candidate, and
+// graph::separator_dependency prices delta_s(u) from sweeps of G - u that
+// the activation shares, built when a candidate is first priced. The
+// separator value lies within separator_margin of the exact one, so it
+// decides every candidate that cannot win:
 //
-// Results are BIT-IDENTICAL between modes and to topology::node_utility
+//   * price / exact — the two-pass local oracle prices the base and every
+//     candidate first and runs the exact phase only where the move is
+//     decided (DESIGN.md §8.3). In full mode a price is the exact value.
+//   * evaluate under a threshold — the greedy oracle's one pass: a
+//     candidate whose separator value plus margin cannot beat the
+//     threshold returns that value without a sweep.
+//
+// Once the G - u sweeps exist, E_fees reads d(u, t) from them instead of a
+// BFS of the candidate graph; the hop counts are integers, so the fee is
+// bitwise the BFS one. Full mode always runs the BFS, the reference.
+//
+// Exact values are BIT-IDENTICAL between modes and to topology::node_utility
 // under the exact backend — pinned by tests/arena_incremental_test.cpp,
 // tests/arena_engine_test.cpp and the BetweennessToggle sections of
 // graph_betweenness_property_test.
@@ -26,6 +37,7 @@
 #ifndef LCG_ARENA_INCREMENTAL_H
 #define LCG_ARENA_INCREMENTAL_H
 
+#include <cmath>
 #include <memory>
 #include <span>
 #include <vector>
@@ -37,6 +49,12 @@
 #include "graph/traversal.h"
 
 namespace lcg::arena {
+
+/// Bound on |separator value - exact value| of a utility (DESIGN.md §8.2):
+/// a separator value v has its exact value within v +- separator_margin(v).
+[[nodiscard]] inline double separator_margin(double value) noexcept {
+  return 1e-6 + 1e-9 * std::abs(value);
+}
 
 /// Per-activation evaluation session for one player's candidate own-sets.
 ///
@@ -52,7 +70,7 @@ class candidate_evaluator {
   /// (both as the oracles produce them). Every add must be a new channel:
   /// not u, not repeated, and not already connected to u in either
   /// direction (precondition_error otherwise). The provider's mode selects
-  /// whether the separator filter runs.
+  /// whether candidates can be priced by the separator.
   candidate_evaluator(const utility_provider& provider,
                       const graph::digraph& base, graph::node_id u,
                       const std::vector<graph::node_id>& own,
@@ -60,8 +78,8 @@ class candidate_evaluator {
   ~candidate_evaluator();
 
   /// U_u(base) — bitwise equal to topology::node_utility(base, u).total
-  /// under the exact backend, in both modes: the exact phase on one freeze
-  /// of the base graph.
+  /// under the exact backend, in both modes: the exact phase on the
+  /// resting graph. Counts one logical provider evaluation.
   [[nodiscard]] double base_value();
 
   /// Utility of `u` with exactly the channels to `set` active. In
@@ -71,25 +89,55 @@ class candidate_evaluator {
   /// full mode's. Counts one logical provider evaluation either way.
   [[nodiscard]] double evaluate(const std::vector<graph::node_id>& set);
 
-  /// Filter threshold: candidates that cannot strictly exceed it may be
-  /// settled by the separator value alone. -infinity (the default) turns
-  /// the filter off; callers set it only where acceptance is strictly
-  /// above it (DESIGN.md §8.3).
+  /// Filter threshold of evaluate: candidates that cannot strictly exceed
+  /// it may be settled by the separator value alone. -infinity (the
+  /// default) turns the filter off; callers set it only where acceptance is
+  /// strictly above it (DESIGN.md §8.3).
   void set_threshold(double threshold) noexcept { threshold_ = threshold; }
+
+  /// The price of `set` (the resting own set prices the base): its
+  /// separator value in incremental mode, its exact value in full mode.
+  /// Infinite E_fees prices -infinity, which is exact in both modes.
+  /// Counts one logical provider evaluation.
+  [[nodiscard]] double price(const std::vector<graph::node_id>& set);
+  /// Whether price returns exact values (full mode); in incremental mode
+  /// candidates can be priced by the separator.
+  [[nodiscard]] bool prices_are_exact() const noexcept;
+  /// Whether the G - u sweeps exist, i.e. a separator value is at hand.
+  [[nodiscard]] bool separator_ready() const noexcept {
+    return separator_ != nullptr;
+  }
+  /// The exact value of `set`, bitwise full mode's evaluate, for a set
+  /// already counted by price. Counts no logical evaluation.
+  [[nodiscard]] double exact(const std::vector<graph::node_id>& set);
+
+  /// E_fees of u with exactly the channels to `set` active, by the path
+  /// every evaluation takes: the G - u rows once they exist, a BFS of the
+  /// candidate graph before. Counts no logical evaluation.
+  [[nodiscard]] double fees(const std::vector<graph::node_id>& set);
 
  private:
   struct separator;  // G - u sweeps and per-candidate scratch
 
+  /// Sets removed_ and added_ to `set`'s toggles against the resting state.
+  void select(const std::vector<graph::node_id>& set);
   /// Flips the candidate's toggled channels (removed_ and added_) on or
   /// back off, patching rows_' in-degrees to match.
   void flip(bool on);
-  /// Whether the provider's mode runs the separator filter.
-  [[nodiscard]] bool filtered() const noexcept;
+  /// select(set), flip on, and price fees_ and cost_; fills the plan rows
+  /// when E_fees is finite and returns false when it is not (the total is
+  /// then -inf). The caller flips back off.
+  bool open(const std::vector<graph::node_id>& set);
+  /// b * betweenness - fees_ - cost_ for the open candidate.
+  [[nodiscard]] double total(double betweenness) const;
   /// Sweeps G - u from every plan source and every out-neighbour u can
   /// have; counted as forest sweeps.
   void build_separator();
-  /// Sum over the plan of scale * delta_s(u) for the flipped candidate, by
-  /// the separator identity (after fill_rows).
+  /// d(u, t) and sigma(u, t) of the flipped candidate, over its active
+  /// out-edges, from the G - u rows.
+  void fold_out();
+  /// Sum over the plan of scale * delta_s(u) for the open candidate, by
+  /// the separator identity (after open, which folded d(u, t)).
   [[nodiscard]] double separator_betweenness();
   /// The same sum from the exact phase: one freeze of the work graph's
   /// current state and one sweep_dependency per plan source, merged in
@@ -111,13 +159,15 @@ class candidate_evaluator {
   std::vector<graph::node_id> peers_;  // own + adds, slot-table order
   std::vector<std::pair<graph::edge_id, graph::edge_id>> pairs_;
   double threshold_;
+  double fees_ = 0.0;                  // E_fees of the open candidate
+  double cost_ = 0.0;                  // its channel cost
   graph::source_plan plan_;            // sources and rescale of every sweep
   dist::sender_rows rows_;             // p_trans rows of the work graph
   std::vector<double> row_buf_;        // row i at [i * n, (i + 1) * n); u's last
   std::vector<std::size_t> removed_;   // candidate's own slots switched off
   std::vector<std::size_t> added_;     // candidate's add slots switched on
   graph::cone_scratch cone_;           // sweep_dependency scratch
-  std::unique_ptr<separator> separator_;  // built on the first filtered call
+  std::unique_ptr<separator> separator_;  // built on the first priced call
 };
 
 }  // namespace lcg::arena

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "arena/incremental.h"
 #include "core/greedy.h"
@@ -28,6 +29,8 @@ std::string_view oracle_name(oracle_kind kind) {
 }
 
 namespace {
+
+constexpr double inf = std::numeric_limits<double>::infinity();
 
 /// Candidate peers for NEW channels of `u`: the top-`candidate_k` eligible
 /// nodes by (score desc, id asc), then exactly `candidate_random` draws
@@ -97,21 +100,23 @@ std::optional<topology::deviation> greedy_propose(
 
   std::vector<graph::node_id> candidates = own;
   candidates.insert(candidates.end(), adds.begin(), adds.end());
+  if (candidates.empty()) {
+    // Nothing to compare the base with: it still counts its evaluation.
+    provider.count_logical_evaluation();
+    return std::nullopt;
+  }
   // One evaluation seam for both provider modes (arena/incremental.h).
   // plain_greedy takes a strict argmax within each step, so the best value
   // among the strategies of the current size is a valid filter threshold:
   // a candidate that cannot beat it can never be the step's choice. The
   // first candidate of each step sees -infinity.
   candidate_evaluator evaluator(provider, state.graph(), u, own, adds);
-  const double base = evaluator.base_value();
-  if (candidates.empty()) return std::nullopt;
-
   std::size_t step_size = 0;
-  double step_best = -std::numeric_limits<double>::infinity();
+  double step_best = -inf;
   const core::objective_fn objective = [&](const core::strategy& s) {
     if (s.size() != step_size) {
       step_size = s.size();
-      step_best = -std::numeric_limits<double>::infinity();
+      step_best = -inf;
     }
     std::vector<graph::node_id> set;
     set.reserve(s.size());
@@ -126,8 +131,9 @@ std::optional<topology::deviation> greedy_propose(
   // Owning no channels at all is a legal strategy (u may stay connected
   // through counterparties' channels); the greedy engine only reports
   // non-empty prefixes, so compare against the empty set explicitly, at
-  // its exact value.
-  evaluator.set_threshold(-std::numeric_limits<double>::infinity());
+  // the rebuilt value as its threshold: the empty set wins only when it is
+  // at least as good, which a pruned value (strictly below) never is.
+  evaluator.set_threshold(rebuilt.objective_value);
   const double empty_value = evaluator.evaluate({});
 
   std::vector<graph::node_id> chosen;
@@ -137,11 +143,30 @@ std::optional<topology::deviation> greedy_propose(
     std::sort(chosen.begin(), chosen.end());
     value = rebuilt.objective_value;
   }
-  if (!(value > base + options.tolerance)) return std::nullopt;
-  topology::deviation dev = diff_deviation(u, own, chosen, base, value);
-  if (dev.removed_peers.empty() && dev.added_peers.empty())
+  // The base comes last (DESIGN.md §8.3). Rebuilding the own set is no
+  // move whatever the base is worth. Otherwise, once the G - u sweeps
+  // exist, the base's separator value bounds its exact one from below, and
+  // an exact `value` that cannot beat that bound plus the tolerance
+  // settles the activation without the base's exact phase. Without them,
+  // building the sweeps for the base alone would cost more than its exact
+  // phase.
+  if (chosen == own) {
+    provider.count_logical_evaluation();
     return std::nullopt;
-  return dev;
+  }
+  double base;
+  if (evaluator.separator_ready()) {
+    base = evaluator.price(own);
+    if (base > -inf) {
+      if (!(value > base - separator_margin(base) + options.tolerance))
+        return std::nullopt;
+      base = evaluator.exact(own);
+    }
+  } else {
+    base = evaluator.base_value();
+  }
+  if (!(value > base + options.tolerance)) return std::nullopt;
+  return diff_deviation(u, own, chosen, base, value);
 }
 
 std::optional<topology::deviation> local_propose(
@@ -151,14 +176,10 @@ std::optional<topology::deviation> local_propose(
   const std::vector<graph::node_id>& own = state.owned(u);
   const std::vector<graph::node_id> adds =
       add_candidates(state, u, provider, options, scores, stream);
-  candidate_evaluator evaluator(provider, state.graph(), u, own, adds);
-  const double base = evaluator.base_value();
-  // A mover that cannot reach some receiver rests at U = -inf, where every
-  // finite candidate's gain is +inf: candidates then compare by their own
-  // utility, and the evaluator's threshold stays at -inf (no pruning).
-  const bool finite_base = base > -std::numeric_limits<double>::infinity();
 
-  std::optional<topology::deviation> best;
+  // The neighbourhood, in enumeration order: up to max_removed dropped own
+  // channels times up to max_added additions, never the base itself.
+  std::vector<std::vector<graph::node_id>> sets;
   const std::size_t remove_cap = std::min(options.max_removed, own.size());
   const std::size_t add_cap = std::min(options.max_added, adds.size());
   for (std::size_t nr = 0; nr <= remove_cap; ++nr) {
@@ -174,32 +195,98 @@ std::optional<topology::deviation> local_propose(
                   std::vector<graph::node_id> chosen = kept;
                   for (const std::size_t i : ad) chosen.push_back(adds[i]);
                   std::sort(chosen.begin(), chosen.end());
-                  // Acceptance is strict (> threshold), so the incremental
-                  // path may settle a candidate by its separator value
-                  // alone; that value then sits at or below the threshold
-                  // and both branches below stay false, exactly as the
-                  // true value would.
-                  if (finite_base) {
-                    evaluator.set_threshold(best ? base + best->gain()
-                                                 : base + options.tolerance);
-                  }
-                  const double value = evaluator.evaluate(chosen);
-                  const bool better =
-                      finite_base
-                          ? value > base + options.tolerance &&
-                                (!best || value - base > best->gain())
-                          : value > base &&
-                                (!best || value > best->utility_after);
-                  if (better) {
-                    best = diff_deviation(u, own, chosen, base, value);
-                  }
+                  sets.push_back(std::move(chosen));
                   return true;
                 });
           }
           return true;
         });
   }
-  return best;
+  if (sets.empty()) {
+    // Nothing to compare the base with: it still counts its evaluation.
+    provider.count_logical_evaluation();
+    return std::nullopt;
+  }
+
+  // Price pass (DESIGN.md §8.3): the base and every candidate, one logical
+  // evaluation each. Full mode prices exactly, so the decide pass below
+  // runs no exact phase there.
+  candidate_evaluator evaluator(provider, state.graph(), u, own, adds);
+  const bool exact_prices = evaluator.prices_are_exact();
+  double base = evaluator.price(own);
+  std::vector<double> prices;
+  prices.reserve(sets.size());
+  for (const auto& set : sets) prices.push_back(evaluator.price(set));
+  // A -inf price is exact (infinite E_fees) and never wins; every other
+  // separator price has its exact value within its margin (DESIGN.md §8.2).
+  if (!exact_prices && base > -inf) {
+    // The base's exact value is at least base - margin, so unless some
+    // candidate's upper bound beats that plus the tolerance, no candidate
+    // can be accepted and the activation is idle.
+    const double floor = base - separator_margin(base) + options.tolerance;
+    const bool live =
+        std::any_of(prices.begin(), prices.end(), [&](double price) {
+          return price > -inf && price + separator_margin(price) > floor;
+        });
+    if (!live) {
+      provider.mutable_stats().pruned += static_cast<std::uint64_t>(
+          std::count_if(prices.begin(), prices.end(),
+                        [](double price) { return price > -inf; }));
+      return std::nullopt;
+    }
+    base = evaluator.exact(own);
+  }
+
+  // Decide pass. The winner is the first candidate in enumeration order
+  // with the largest gain among those past the acceptance floor; `beats`
+  // ranks by (gain, then lower index), so the visiting order cannot change
+  // it. A mover that cannot reach some receiver rests at U = -inf, where
+  // every finite candidate's gain is +inf: candidates then compare by
+  // their own utility.
+  const bool finite_base = base > -inf;
+  const double floor = finite_base ? base + options.tolerance : base;
+  const auto gain = [&](double value) {
+    return finite_base ? value - base : value;
+  };
+  std::size_t best = sets.size();
+  double best_gain = 0.0;
+  double best_value = 0.0;
+  const auto beats = [&](std::size_t i, double g) {
+    return best == sets.size() || g > best_gain ||
+           (g == best_gain && i < best);
+  };
+  // Descending price, ties in enumeration order: the first exact value is
+  // the likeliest winner, and it prunes the rest at once.
+  std::uint64_t settled = 0;  // finite separator prices never made exact
+  std::vector<std::size_t> order(sets.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return prices[a] > prices[b];
+                   });
+  for (const std::size_t i : order) {
+    double value = prices[i];
+    if (value == -inf) continue;
+    if (!exact_prices) {
+      // Only a candidate whose upper bound could still beat the incumbent
+      // runs the exact phase; the bound sits far enough above the exact
+      // value that a pruned candidate could not have tied it either.
+      const double bound = value + separator_margin(value);
+      if (!(bound > floor && beats(i, gain(bound)))) {
+        ++settled;
+        continue;
+      }
+      value = evaluator.exact(sets[i]);
+    }
+    if (value > floor && beats(i, gain(value))) {
+      best = i;
+      best_gain = gain(value);
+      best_value = value;
+    }
+  }
+  provider.mutable_stats().pruned += settled;
+  if (best == sets.size()) return std::nullopt;
+  return diff_deviation(u, own, sets[best], base, best_value);
 }
 
 }  // namespace

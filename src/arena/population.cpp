@@ -89,14 +89,14 @@ struct ledger_mirror {
 /// Adds a finished run's sweep ledger to the process-wide arena/* obs
 /// counters (the names bench_arena's records use). The evaluator counters
 /// are created only by runs that priced candidates through
-/// candidate_evaluator — each evaluation runs at least one support BFS, the
-/// fee BFS — so a brute-oracle trace lists none of them.
-void publish_sweeps(const sweep_stats& st) {
+/// candidate_evaluator — those count logical evaluations — so a
+/// brute-oracle trace lists none of them.
+void publish_sweeps(const sweep_stats& st, std::uint64_t evaluations) {
   if (!obs::enabled()) return;
   obs::registry& reg = obs::registry::global();
   if (st.full_sweeps > 0)
     reg.get_counter("arena/sweep_full").add(st.full_sweeps);
-  if (st.support_bfs == 0) return;
+  if (evaluations == 0) return;
   reg.get_counter("arena/build_forest").add(st.forest);
   reg.get_counter("arena/resweep_source").add(st.resweeps);
   reg.get_counter("arena/accumulate_source").add(st.accumulations);
@@ -384,7 +384,7 @@ population_result run_population(const graph::digraph& start,
 
   base.evaluations = provider.evaluations();
   base.sweeps = provider.stats();
-  publish_sweeps(base.sweeps);
+  publish_sweeps(base.sweeps, base.evaluations);
   if (churning) result.active = std::move(active);
   if (mirror) mirror->finish();
   return result;

@@ -52,16 +52,16 @@ namespace lcg::arena {
 inline constexpr std::size_t default_exact_threshold = 192;
 
 /// How candidate_evaluator prices utilities. Both modes return
-/// BIT-IDENTICAL results — the filter only skips exact work whose result
+/// BIT-IDENTICAL results — the separator only skips exact work whose result
 /// could not change an oracle decision (tests pin utilities and whole arena
 /// runs byte-equal).
 ///
-///  * full        — unfiltered: every evaluation sweeps all plan sources on
-///    one freeze of the evaluated graph.
-///  * incremental — filtered: a candidate evaluated under a finite
-///    threshold is priced first by the separator identity over sweeps of
-///    G - u that the activation shares, and runs the exact sweeps only when
-///    that value plus a margin can beat the threshold (DESIGN.md §8).
+///  * full        — exact: every evaluation sweeps all plan sources on one
+///    freeze of the evaluated graph, and runs a fee BFS.
+///  * incremental — priced: candidates are priced first by the separator
+///    identity over sweeps of G - u that the activation shares, and run
+///    the exact sweeps only where that value, within its margin, cannot
+///    settle the oracle's decision (DESIGN.md §8).
 enum class provider_mode { full, incremental };
 
 /// Parses "full" / "incremental"; throws precondition_error otherwise
@@ -87,15 +87,20 @@ struct provider_options {
 /// The arena's sweep cost ledger: how many single-source shortest-path DAG
 /// constructions betweenness work actually performed ("effective source
 /// sweeps" — the metric BENCH_arena.json tracks), split by origin. The
-/// separator's per-source pricing and the fee BFS of every evaluation are
-/// tallied separately — they are not sweeps (DESIGN.md §8.4).
+/// separator's per-source pricing, the fee BFS and the candidates settled
+/// without an exact phase are tallied separately — they are not sweeps
+/// (DESIGN.md §8.4).
 struct sweep_stats {
-  std::uint64_t full_sweeps = 0;     ///< node_scores + unfiltered exact sweeps
-  std::uint64_t forest = 0;          ///< G - u sweeps of the separator filter
-  std::uint64_t resweeps = 0;        ///< filtered-mode exact sweeps
+  std::uint64_t full_sweeps = 0;     ///< node_scores + full-mode exact sweeps
+  std::uint64_t forest = 0;          ///< G - u sweeps of the separator
+  std::uint64_t resweeps = 0;        ///< incremental-mode exact sweeps
   std::uint64_t accumulations = 0;   ///< sources priced by the separator
-  std::uint64_t support_bfs = 0;     ///< fee BFS, one per evaluation
-  std::uint64_t pruned = 0;          ///< candidates settled by the filter
+  /// Fee BFS runs: every full-mode evaluation; in incremental mode only
+  /// those before the activation's G - u sweeps exist.
+  std::uint64_t support_bfs = 0;
+  /// Candidates settled without an exact phase (incremental mode only;
+  /// -inf candidates and the base are not counted).
+  std::uint64_t pruned = 0;
   [[nodiscard]] std::uint64_t effective_sweeps() const noexcept {
     return full_sweeps + forest + resweeps;
   }
@@ -184,9 +189,9 @@ class utility_provider {
   [[nodiscard]] std::vector<double> node_scores(const graph::digraph& g) const;
 
   /// Utility evaluations consumed so far (the arena's cost ledger). This is
-  /// a LOGICAL counter: the incremental mode's pruned candidates still
-  /// count one evaluation each, so the column stays byte-identical between
-  /// modes.
+  /// a LOGICAL counter: every base value and candidate of an activation
+  /// counts one, whether it was priced, settled or never needed, so the
+  /// column stays byte-identical between modes.
   [[nodiscard]] std::uint64_t evaluations() const noexcept {
     return evaluations_;
   }
@@ -194,8 +199,10 @@ class utility_provider {
   /// Physical sweep ledger (see sweep_stats). Grows in both modes.
   [[nodiscard]] const sweep_stats& stats() const noexcept { return stats_; }
 
-  /// Hooks for arena/incremental.cpp (candidate_evaluator mutates the
-  /// shared ledgers through its provider reference).
+  /// Hooks for arena/incremental.cpp and arena/oracles.cpp (the evaluator
+  /// and the oracles mutate the shared ledgers through their provider
+  /// reference: the oracles count a base value they never need, and the
+  /// local oracle the candidates it settled).
   void count_logical_evaluation() const noexcept { ++evaluations_; }
   [[nodiscard]] sweep_stats& mutable_stats() const noexcept { return stats_; }
 

@@ -1,21 +1,30 @@
 // The incremental provider mode's equivalence contract: mode=incremental
-// (the separator filter) skips exact work, NEVER approximates a decision.
+// (separator pricing) skips exact work, NEVER approximates a decision.
 // Whole arena runs must be BITWISE identical to mode=full — same moves with
 // the same utility doubles, same logical evaluation count, same outcome —
 // while performing strictly fewer effective source-sweeps. DESIGN.md §8
-// documents why this holds (separator identity, filter soundness under
-// strict acceptance).
+// documents why this holds (separator identity, the symmetric margin, and
+// the oracles' strict acceptance and (gain, index) tie-break).
 
 #include "arena/incremental.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <limits>
+#include <optional>
 #include <vector>
 
 #include "arena/engine.h"
+#include "arena/oracles.h"
+#include "dist/zipf.h"
 #include "graph/generators.h"
+#include "graph/properties.h"
 #include "topology/dynamics.h"
+#include "topology/game.h"
+#include "util/enumeration.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -118,20 +127,29 @@ TEST(IncrementalMode, BitwiseEqualAcrossOraclesOrdersAndBackends) {
 
 TEST(IncrementalMode, SweepLedgerAccountsEveryPath) {
   const graph::digraph start = make_start("ws", 20, 99);
+  const std::uint64_t plan = 8;  // the sampled backend's pivots
   const arena_result inc =
       run_mode(start, oracle_kind::local, activation_order::round_robin, 0,
                provider_mode::incremental, 5);
-  // Incremental runs sweep G - u (forest), price sources by the separator
-  // (accumulations), settle some candidates on that value (pruned) and
-  // sweep the rest exactly (resweeps); the full-sweep counter only grows
-  // through node_scores. Every evaluation runs one fee BFS.
+  // The local oracle prices every candidate by the separator over sweeps of
+  // G - u (forest, accumulations), settles most of them on that value
+  // (pruned) and sweeps the rest exactly (resweeps, whole plans); the
+  // full-sweep counter only grows through node_scores. Every fee is read
+  // from the G - u rows, so no fee BFS runs.
   EXPECT_GT(inc.sweeps.forest, 0u);
   EXPECT_GT(inc.sweeps.accumulations, 0u);
   EXPECT_GT(inc.sweeps.pruned, 0u);
   EXPECT_GT(inc.sweeps.resweeps, 0u);
-  EXPECT_EQ(inc.sweeps.support_bfs, inc.evaluations);
-  // Full mode runs no filter: every evaluation sweeps every plan source
-  // (full_sweeps) and nothing is priced by the separator or pruned.
+  EXPECT_EQ(inc.sweeps.support_bfs, 0u);
+  EXPECT_EQ(inc.sweeps.resweeps % plan, 0u);
+  EXPECT_EQ(inc.sweeps.accumulations % plan, 0u);
+  EXPECT_LE(inc.sweeps.accumulations, plan * inc.evaluations);
+  // A priced evaluation is settled (pruned), exact (a whole resweep plan)
+  // or -inf; the base is never counted pruned.
+  EXPECT_LE(inc.sweeps.pruned + inc.sweeps.resweeps / plan, inc.evaluations);
+  // Full mode prices exactly: every evaluation runs the fee BFS and sweeps
+  // every plan source (full_sweeps), and nothing is priced by the separator
+  // or pruned.
   const arena_result full =
       run_mode(start, oracle_kind::local, activation_order::round_robin, 0,
                provider_mode::full, 5);
@@ -141,6 +159,13 @@ TEST(IncrementalMode, SweepLedgerAccountsEveryPath) {
   EXPECT_EQ(full.sweeps.accumulations, 0u);
   EXPECT_EQ(full.sweeps.pruned, 0u);
   EXPECT_GT(full.sweeps.full_sweeps, inc.sweeps.full_sweeps);
+  // The greedy oracle runs its first candidate before any G - u sweep
+  // exists, so it runs some fee BFS, but reads the later fees from the rows.
+  const arena_result greedy =
+      run_mode(start, oracle_kind::greedy, activation_order::round_robin, 0,
+               provider_mode::incremental, 5);
+  EXPECT_GT(greedy.sweeps.support_bfs, 0u);
+  EXPECT_LT(greedy.sweeps.support_bfs, greedy.evaluations / 4);
 }
 
 TEST(IncrementalMode, GreedyOracleFiltersAgainstTheStepBest) {
@@ -265,6 +290,256 @@ TEST(IncrementalMode, EvaluatorRejectsAddsThatAreNotNewChannels) {
     EXPECT_NO_THROW(
         candidate_evaluator(provider, state.graph(), u, own, far));
   }
+}
+
+/// The local oracle's neighbourhood of u in enumeration order, rebuilt
+/// here for a reference: candidate_random = 0, so the adds are the top
+/// candidate_k non-neighbours by (score desc, id asc).
+std::vector<std::vector<graph::node_id>> local_neighbourhood(
+    const strategy_state& state, graph::node_id u,
+    const std::vector<double>& scores, const oracle_options& opts,
+    std::vector<graph::node_id>& adds) {
+  adds = non_neighbours(state, u);
+  std::stable_sort(adds.begin(), adds.end(),
+                   [&](graph::node_id a, graph::node_id b) {
+                     return scores[a] > scores[b];
+                   });
+  if (adds.size() > opts.candidate_k) adds.resize(opts.candidate_k);
+  const std::vector<graph::node_id>& own = state.owned(u);
+  std::vector<std::vector<graph::node_id>> sets;
+  for (std::size_t nr = 0; nr <= std::min(opts.max_removed, own.size());
+       ++nr) {
+    for_each_subset_of_size(own.size(), nr,
+                            [&](const std::vector<std::size_t>& rm) {
+      std::vector<graph::node_id> kept;
+      for (std::size_t i = 0; i < own.size(); ++i) {
+        if (!std::binary_search(rm.begin(), rm.end(), i))
+          kept.push_back(own[i]);
+      }
+      for (std::size_t na = nr == 0 ? 1 : 0;
+           na <= std::min(opts.max_added, adds.size()); ++na) {
+        for_each_subset_of_size(adds.size(), na,
+                                [&](const std::vector<std::size_t>& ad) {
+          std::vector<graph::node_id> chosen = kept;
+          for (const std::size_t i : ad) chosen.push_back(adds[i]);
+          std::sort(chosen.begin(), chosen.end());
+          sets.push_back(chosen);
+          return true;
+        });
+      }
+      return true;
+    });
+  }
+  return sets;
+}
+
+TEST(IncrementalMode, LocalOracleBreaksBitwiseTiesByEnumerationOrder) {
+  // On symmetric hosts many local candidates tie bitwise on gain (mirror
+  // chords of a cycle, leaf links of a star, dropped channels of a
+  // complete graph). The two-pass oracle visits candidates by descending
+  // price, yet must pick the one-pass winner: the FIRST candidate in
+  // enumeration order with the largest gain. The reference is that
+  // one-pass loop over exact values; both modes must match it bit for bit
+  // and count the same logical evaluations. Full mode visits bitwise-tied
+  // prices in enumeration order; the separator prices of some tied
+  // candidates (cycle8 at s = 0.5, cycle10 at s = 2) order them the other
+  // way round, so only the index rule picks the right one there.
+  const struct {
+    const char* name;
+    graph::digraph g;
+  } hosts[] = {
+      {"cycle8", graph::cycle_graph(8)},
+      {"cycle9", graph::cycle_graph(9)},
+      {"cycle10", graph::cycle_graph(10)},
+      {"star6", graph::star_graph(6)},
+      {"complete5", graph::complete_graph(5)},
+  };
+  oracle_options opts;
+  opts.candidate_k = 16;
+  opts.candidate_random = 0;
+  std::size_t tied_winners = 0;
+  std::size_t reversed_ties = 0;  // a later tie has the higher price
+  for (const auto& host : hosts) {
+    for (const auto [l, zipf_s] :
+         {std::pair{0.05, 1.0}, {0.3, 1.0}, {1.5, 1.0}, {4.0, 1.0},
+          {0.3, 0.5}, {1.5, 0.5}, {0.3, 2.0}, {1.5, 2.0}}) {
+      SCOPED_TRACE(std::string(host.name) + " l=" + std::to_string(l) +
+                   " s=" + std::to_string(zipf_s));
+      topology::game_params params;
+      params.l = l;
+      params.s = zipf_s;
+      provider_options full_opts;
+      provider_options inc_opts;
+      inc_opts.mode = provider_mode::incremental;
+      const strategy_state state(host.g);
+      const utility_provider scorer(params, full_opts);
+      const std::vector<double> scores = scorer.node_scores(state.graph());
+      for (graph::node_id u = 0; u < state.player_count(); ++u) {
+        SCOPED_TRACE("u=" + std::to_string(u));
+        std::vector<graph::node_id> adds;
+        const std::vector<std::vector<graph::node_id>> sets =
+            local_neighbourhood(state, u, scores, opts, adds);
+        const std::vector<graph::node_id>& own = state.owned(u);
+        // The one-pass reference over exact values.
+        const utility_provider exact_provider(params, full_opts);
+        const utility_provider price_provider(params, inc_opts);
+        candidate_evaluator exact(exact_provider, state.graph(), u, own,
+                                  adds);
+        candidate_evaluator priced(price_provider, state.graph(), u, own,
+                                   adds);
+        const double base = exact.base_value();
+        const bool finite_base =
+            base > -std::numeric_limits<double>::infinity();
+        std::vector<double> values;
+        std::size_t best = sets.size();
+        for (std::size_t i = 0; i < sets.size(); ++i) {
+          const double v = exact.evaluate(sets[i]);
+          values.push_back(v);
+          const bool better =
+              finite_base ? v > base + opts.tolerance &&
+                                (best == sets.size() ||
+                                 v - base > values[best] - base)
+                          : v > base &&
+                                (best == sets.size() || v > values[best]);
+          if (better) best = i;
+        }
+        std::size_t ties = 0;
+        if (best < sets.size()) {
+          const double g = finite_base ? values[best] - base : values[best];
+          for (std::size_t i = 0; i < sets.size(); ++i) {
+            const double gi = finite_base ? values[i] - base : values[i];
+            if (gi == g) {
+              ++ties;
+              EXPECT_GE(i, best) << "a tied candidate enumerated first lost";
+              if (i > best && priced.price(sets[i]) > priced.price(sets[best]))
+                ++reversed_ties;
+            }
+          }
+        }
+        if (ties > 1) ++tied_winners;
+
+        for (const provider_options& popts : {full_opts, inc_opts}) {
+          SCOPED_TRACE(std::string(provider_mode_name(popts.mode)));
+          const utility_provider provider(params, popts);
+          rng stream(1);
+          const std::optional<topology::deviation> dev =
+              propose_move(oracle_kind::local, state, u, provider, opts,
+                           scores, stream);
+          EXPECT_EQ(provider.evaluations(), sets.size() + 1);
+          ASSERT_EQ(dev.has_value(), best < sets.size());
+          if (!dev) continue;
+          const std::vector<graph::node_id>& chosen = sets[best];
+          std::vector<graph::node_id> added;
+          std::vector<graph::node_id> removed;
+          std::set_difference(chosen.begin(), chosen.end(), own.begin(),
+                              own.end(), std::back_inserter(added));
+          std::set_difference(own.begin(), own.end(), chosen.begin(),
+                              chosen.end(), std::back_inserter(removed));
+          EXPECT_EQ(dev->added_peers, added);
+          EXPECT_EQ(dev->removed_peers, removed);
+          EXPECT_EQ(dev->utility_before, base);
+          EXPECT_EQ(dev->utility_after, values[best]);
+        }
+      }
+      // Whole runs from the symmetric host agree between modes too.
+      arena_options options;
+      options.oracle = oracle_kind::local;
+      options.max_rounds = 6;
+      options.oracle_opts = opts;
+      arena_options inc_run = options;
+      inc_run.provider.mode = provider_mode::incremental;
+      expect_equal_runs(run_arena(host.g, params, options),
+                        run_arena(host.g, params, inc_run));
+    }
+  }
+  // The hosts must exercise the rule: winners that tie with another
+  // accepted candidate bit for bit, in both visiting orders.
+  EXPECT_GT(tied_winners, 0u);
+  EXPECT_GT(reversed_ties, 0u);
+}
+
+TEST(IncrementalMode, FeesFromSeparatorRowsMatchTheBfs) {
+  // Once the G - u sweeps exist, E_fees reads d(u, t) from them: bitwise
+  // the fee of a BFS of the candidate graph (full mode's path) and of
+  // topology::node_utility, per candidate. Dropped channels that cut u off
+  // some receiver give +inf on both paths (the -inf short cut), and u's
+  // own p_trans entry, where the fold has no distance, is 0.
+  topology::game_params params;
+  params.a = 0.7;
+  std::size_t infinite = 0;
+  std::size_t finite = 0;
+  const struct {
+    const char* name;
+    graph::digraph g;
+  } hosts[] = {
+      {"ws", make_start("ws", 18, 3)},
+      {"er", make_start("er", 16, 11)},
+      {"path", graph::path_graph(7)},
+      {"star", graph::star_graph(5)},
+  };
+  for (const auto& host : hosts) {
+    SCOPED_TRACE(host.name);
+    const strategy_state state(host.g);
+    const std::vector<std::size_t> in_deg = graph::in_degrees(host.g);
+    const std::vector<double> masses =
+        dist::zipf_rank_masses(host.g.node_count(), params.s);
+    for (graph::node_id u = 0; u < state.player_count(); ++u) {
+      for (const dist::rank_basis basis :
+           {dist::rank_basis::keep_sender_edges,
+            dist::rank_basis::drop_sender_edges}) {
+        EXPECT_EQ(dist::sender_row(host.g, in_deg, u, basis, nullptr,
+                                   masses)[u],
+                  0.0);
+      }
+      const std::vector<graph::node_id>& own = state.owned(u);
+      std::vector<graph::node_id> adds = non_neighbours(state, u);
+      if (adds.size() > 3) adds.resize(3);
+      std::vector<std::vector<graph::node_id>> sets = {own, {}, adds};
+      for (std::size_t i = 0; i < own.size(); ++i) {
+        sets.push_back(own);
+        sets.back().erase(sets.back().begin() + static_cast<long>(i));
+        for (const graph::node_id a : adds) {
+          sets.push_back(sets.back());
+          sets.back().push_back(a);
+          std::sort(sets.back().begin(), sets.back().end());
+        }
+      }
+      provider_options inc_opts;
+      inc_opts.mode = provider_mode::incremental;
+      const utility_provider full(params, provider_options{});
+      const utility_provider inc(params, inc_opts);
+      candidate_evaluator bfs(full, state.graph(), u, own, adds);
+      candidate_evaluator rows(inc, state.graph(), u, own, adds);
+      (void)rows.price(own);  // builds the G - u sweeps
+      ASSERT_TRUE(rows.separator_ready());
+      for (const auto& set : sets) {
+        graph::digraph g = host.g;
+        for (const graph::node_id p : own) {
+          if (!std::binary_search(set.begin(), set.end(), p)) {
+            g.remove_edge(g.find_edge(u, p));
+            g.remove_edge(g.find_edge(p, u));
+          }
+        }
+        for (const graph::node_id p : set) {
+          if (!std::binary_search(own.begin(), own.end(), p))
+            g.add_bidirectional(u, p);
+        }
+        const double reference = topology::node_utility(g, u, params).fees;
+        const double fee = rows.fees(set);
+        EXPECT_EQ(fee, bfs.fees(set)) << "u=" << u << " |set|=" << set.size();
+        EXPECT_EQ(fee, reference) << "u=" << u << " |set|=" << set.size();
+        if (std::isinf(fee)) {
+          ++infinite;
+          EXPECT_EQ(rows.price(set), -std::numeric_limits<double>::infinity());
+        } else {
+          ++finite;
+        }
+      }
+    }
+  }
+  // Both sides of the short cut are exercised.
+  EXPECT_GT(infinite, 0u);
+  EXPECT_GT(finite, 0u);
 }
 
 }  // namespace
