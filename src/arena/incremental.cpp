@@ -35,15 +35,17 @@ void fold_hop(std::int32_t d, double sigma, std::int32_t& best,
 
 /// The separator's per-activation state (DESIGN.md §8.1): hop distances
 /// and path counts in G - u (the resting graph with every edge of u
-/// removed), one row of n per sweep root, plus per-candidate scratch.
-/// Built when a candidate is first priced by the separator.
+/// removed), one row of n per distinct sweep root, plus per-candidate
+/// scratch. Built by the first set priced with finite fees.
 struct candidate_evaluator::separator {
-  // Row r at [r * n, (r + 1) * n). Roots: the plan sources, then peers_ in
-  // slot order, then the head of each out-edge of u outside the slot table
-  // (counterparty-owned channels, which every candidate keeps).
+  // Row r at [r * n, (r + 1) * n). Rows [0, |plan|) are the plan sources
+  // in plan order; the other roots — peers_ and the heads of u's out-edges
+  // outside the slot table (counterparty-owned channels, which every
+  // candidate keeps) — share a source's row or get one of their own.
   std::vector<std::int32_t> dist;
   std::vector<double> sigma;
-  std::size_t fixed_out = 0;            // rows of the fixed out-edge heads
+  std::vector<std::size_t> peer_row;     // row of peers_[slot]
+  std::vector<std::size_t> fixed_rows;   // rows of the fixed out-edge heads
   std::vector<graph::node_id> fixed_in;  // tails of u's fixed in-edges
   // Per-candidate scratch: the active in-edges' tails, the rows of the
   // active out-edges' heads, and d(u, t) and sigma(u, t) over them.
@@ -58,7 +60,6 @@ candidate_evaluator::candidate_evaluator(
     graph::node_id u, const std::vector<graph::node_id>& own,
     const std::vector<graph::node_id>& adds)
     : provider_(provider), work_(base), u_(u), own_count_(own.size()),
-      threshold_(-inf),
       rows_(provider.params().basis, provider.active(),
             provider.rank_masses(base.node_count())) {
   LCG_EXPECTS(std::is_sorted(own.begin(), own.end()));
@@ -170,16 +171,25 @@ void candidate_evaluator::build_separator() {
       return pair.first == e || pair.second == e;
     });
   };
+  // One row per distinct root: a peer or head that is also a plan source
+  // (every one under the exact backend) reads the source's row.
+  constexpr std::size_t no_row = std::numeric_limits<std::size_t>::max();
+  std::vector<graph::node_id> roots;
+  std::vector<std::size_t> row_of(work_.node_count(), no_row);
+  const auto row_for = [&](graph::node_id v) {
+    if (row_of[v] == no_row) {
+      row_of[v] = roots.size();
+      roots.push_back(v);
+    }
+    return row_of[v];
+  };
+  for (const graph::node_id source : plan_.sources) row_for(source);
+  for (const graph::node_id peer : peers_) x.peer_row.push_back(row_for(peer));
   // G - u: cut u's active edges, freeze, and put them back in place.
-  std::vector<graph::node_id> roots = plan_.sources;
-  roots.insert(roots.end(), peers_.begin(), peers_.end());
   std::vector<graph::edge_id> cut;
   work_.for_each_out(u_, [&](graph::edge_id e, const graph::edge& ed) {
     cut.push_back(e);
-    if (!in_slot(e)) {
-      roots.push_back(ed.dst);
-      ++x.fixed_out;
-    }
+    if (!in_slot(e)) x.fixed_rows.push_back(row_for(ed.dst));
   });
   work_.for_each_in(u_, [&](graph::edge_id e, const graph::edge& ed) {
     cut.push_back(e);
@@ -203,15 +213,14 @@ void candidate_evaluator::build_separator() {
 void candidate_evaluator::fold_out() {
   separator& x = *separator_;
   const std::size_t n = work_.node_count();
-  const std::size_t sources = plan_.sources.size();
   // The candidate's out-edges of u: every slot it has switched on (flip has
   // run, so the work graph says which) plus the counterparty channels.
   x.out.clear();
   for (std::size_t slot = 0; slot < peers_.size(); ++slot) {
-    if (work_.edge_active(pairs_[slot].first)) x.out.push_back(sources + slot);
+    if (work_.edge_active(pairs_[slot].first))
+      x.out.push_back(x.peer_row[slot]);
   }
-  for (std::size_t j = 0; j < x.fixed_out; ++j)
-    x.out.push_back(sources + peers_.size() + j);
+  x.out.insert(x.out.end(), x.fixed_rows.begin(), x.fixed_rows.end());
   // d(u, t) and sigma(u, t), shared by every source.
   x.dist_ut.assign(n, graph::unreachable);
   x.sigma_ut.assign(n, 0.0);
@@ -285,9 +294,13 @@ double candidate_evaluator::total(double betweenness) const {
 }
 
 double candidate_evaluator::base_value() {
-  provider_.count_logical_evaluation();
   const auto own_end = peers_.begin() + static_cast<std::ptrdiff_t>(own_count_);
-  return exact(std::vector<graph::node_id>(peers_.begin(), own_end));
+  return evaluate(std::vector<graph::node_id>(peers_.begin(), own_end));
+}
+
+double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
+  provider_.count_logical_evaluation();
+  return exact(set);
 }
 
 double candidate_evaluator::exact(const std::vector<graph::node_id>& set) {
@@ -299,28 +312,16 @@ double candidate_evaluator::exact(const std::vector<graph::node_id>& set) {
 double candidate_evaluator::price(const std::vector<graph::node_id>& set) {
   provider_.count_logical_evaluation();
   if (prices_are_exact()) return exact(set);
-  if (!separator_) build_separator();
-  const double value = open(set) ? total(separator_betweenness()) : -inf;
-  flip(/*on=*/false);
-  return value;
-}
-
-double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
-  provider_.count_logical_evaluation();
-  // The separator filter (DESIGN.md §8.2). The separator value is not
-  // bitwise the exact one, so it is only ever returned at or below the
-  // threshold; the greedy oracle accepts only on STRICT improvement past
-  // it, so its control flow is the same as on the exact value.
-  const bool filter = !prices_are_exact() && threshold_ > -inf;
-  if (filter && !separator_) build_separator();
+  // The G - u sweeps wait for the first set with finite fees, whose fee
+  // came from the BFS (bitwise the fold's): an activation that prices only
+  // -inf sets builds none. G - u is the same whichever set is open.
   double value = -inf;
   if (open(set)) {
-    if (filter) value = total(separator_betweenness());
-    if (filter && value + separator_margin(value) <= threshold_) {
-      ++provider_.mutable_stats().pruned;
-    } else {
-      value = total(exact_betweenness());
+    if (!separator_) {
+      build_separator();
+      fold_out();
     }
+    value = total(separator_betweenness());
   }
   flip(/*on=*/false);
   return value;

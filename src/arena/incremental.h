@@ -10,20 +10,16 @@
 // The EXACT PHASE is the same code in both provider modes: one freeze of
 // the evaluated graph and graph::sweep_dependency from every plan source,
 // which reproduces the sweep engine's delta_s(u) bit for bit. In
-// incremental mode a candidate may instead be priced by its SEPARATOR
-// VALUE (DESIGN.md §8): every toggle touches u, so shortest paths in G - u
-// (u's edges removed) are the same for every candidate, and
+// incremental mode a candidate is first priced by its SEPARATOR VALUE
+// (DESIGN.md §8): every toggle touches u, so shortest paths in G - u (u's
+// edges removed) are the same for every candidate, and
 // graph::separator_dependency prices delta_s(u) from sweeps of G - u that
-// the activation shares, built when a candidate is first priced. The
-// separator value lies within separator_margin of the exact one, so it
-// decides every candidate that cannot win:
-//
-//   * price / exact — the two-pass local oracle prices the base and every
-//     candidate first and runs the exact phase only where the move is
-//     decided (DESIGN.md §8.3). In full mode a price is the exact value.
-//   * evaluate under a threshold — the greedy oracle's one pass: a
-//     candidate whose separator value plus margin cannot beat the
-//     threshold returns that value without a sweep.
+// the activation shares, built when the first set with finite fees is
+// priced. The separator value lies within separator_margin of the exact
+// one, so it decides every candidate that cannot win. Both oracles use one
+// protocol (DESIGN.md §8.3): `price` every set, then a decide pass runs
+// `exact` only where the move is decided. In full mode a price is the
+// exact value.
 //
 // Once the G - u sweeps exist, E_fees reads d(u, t) from them instead of a
 // BFS of the candidate graph; the hop counts are integers, so the fee is
@@ -82,31 +78,20 @@ class candidate_evaluator {
   /// resting graph. Counts one logical provider evaluation.
   [[nodiscard]] double base_value();
 
-  /// Utility of `u` with exactly the channels to `set` active. In
-  /// incremental mode a candidate whose separator value plus margin cannot
-  /// exceed the current threshold returns that value (<= threshold)
-  /// without sweeping; otherwise the returned value is bitwise equal to
-  /// full mode's. Counts one logical provider evaluation either way.
+  /// Utility of `u` with exactly the channels to `set` active: the exact
+  /// value, bitwise the same in both modes. Counts one logical provider
+  /// evaluation.
   [[nodiscard]] double evaluate(const std::vector<graph::node_id>& set);
-
-  /// Filter threshold of evaluate: candidates that cannot strictly exceed
-  /// it may be settled by the separator value alone. -infinity (the
-  /// default) turns the filter off; callers set it only where acceptance is
-  /// strictly above it (DESIGN.md §8.3).
-  void set_threshold(double threshold) noexcept { threshold_ = threshold; }
 
   /// The price of `set` (the resting own set prices the base): its
   /// separator value in incremental mode, its exact value in full mode.
-  /// Infinite E_fees prices -infinity, which is exact in both modes.
+  /// Infinite E_fees prices -infinity, which is exact in both modes; the
+  /// G - u sweeps are built by the first set priced with finite fees.
   /// Counts one logical provider evaluation.
   [[nodiscard]] double price(const std::vector<graph::node_id>& set);
   /// Whether price returns exact values (full mode); in incremental mode
-  /// candidates can be priced by the separator.
+  /// candidates are priced by the separator.
   [[nodiscard]] bool prices_are_exact() const noexcept;
-  /// Whether the G - u sweeps exist, i.e. a separator value is at hand.
-  [[nodiscard]] bool separator_ready() const noexcept {
-    return separator_ != nullptr;
-  }
   /// The exact value of `set`, bitwise full mode's evaluate, for a set
   /// already counted by price. Counts no logical evaluation.
   [[nodiscard]] double exact(const std::vector<graph::node_id>& set);
@@ -130,8 +115,8 @@ class candidate_evaluator {
   bool open(const std::vector<graph::node_id>& set);
   /// b * betweenness - fees_ - cost_ for the open candidate.
   [[nodiscard]] double total(double betweenness) const;
-  /// Sweeps G - u from every plan source and every out-neighbour u can
-  /// have; counted as forest sweeps.
+  /// Sweeps G - u once from each distinct node among the plan sources and
+  /// every out-neighbour u can have; counted as forest sweeps.
   void build_separator();
   /// d(u, t) and sigma(u, t) of the flipped candidate, over its active
   /// out-edges, from the G - u rows.
@@ -158,7 +143,6 @@ class candidate_evaluator {
   std::size_t own_count_;              // peers_[0, own_count_) rest active
   std::vector<graph::node_id> peers_;  // own + adds, slot-table order
   std::vector<std::pair<graph::edge_id, graph::edge_id>> pairs_;
-  double threshold_;
   double fees_ = 0.0;                  // E_fees of the open candidate
   double cost_ = 0.0;                  // its channel cost
   graph::source_plan plan_;            // sources and rescale of every sweep
@@ -167,7 +151,7 @@ class candidate_evaluator {
   std::vector<std::size_t> removed_;   // candidate's own slots switched off
   std::vector<std::size_t> added_;     // candidate's add slots switched on
   graph::cone_scratch cone_;           // sweep_dependency scratch
-  std::unique_ptr<separator> separator_;  // built on the first priced call
+  std::unique_ptr<separator> separator_;  // built by the first finite price
 };
 
 }  // namespace lcg::arena

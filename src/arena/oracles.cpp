@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "arena/incremental.h"
-#include "core/greedy.h"
 #include "util/enumeration.h"
 #include "util/error.h"
 
@@ -90,6 +90,66 @@ topology::deviation diff_deviation(graph::node_id u,
   return dev;
 }
 
+/// The decide pass both oracles share (DESIGN.md §8.3): the winner among
+/// `sets`, priced by `prices` (one logical evaluation each, already
+/// counted), is the first in enumeration order with the largest gain past
+/// the acceptance floor. Gains are `value - base`, the floor `base +
+/// tolerance`; at base = -inf (a mover at U = -inf, or a greedy step) the
+/// gain is the value itself and the floor -inf. Returns the winner's index
+/// and exact value, or sets.size() when no candidate is accepted.
+std::pair<std::size_t, double> decide(
+    candidate_evaluator& evaluator,
+    const std::vector<std::vector<graph::node_id>>& sets,
+    const std::vector<double>& prices, double base, double tolerance,
+    const utility_provider& provider) {
+  const bool exact_prices = evaluator.prices_are_exact();
+  const bool finite_base = base > -inf;
+  const double floor = finite_base ? base + tolerance : base;
+  const auto gain = [&](double value) {
+    return finite_base ? value - base : value;
+  };
+  // `beats` ranks by (gain, then lower index), so the visiting order
+  // cannot change the winner.
+  std::size_t best = sets.size();
+  double best_gain = 0.0;
+  double best_value = 0.0;
+  const auto beats = [&](std::size_t i, double g) {
+    return best == sets.size() || g > best_gain ||
+           (g == best_gain && i < best);
+  };
+  // Descending price, ties in enumeration order: the first exact value is
+  // the likeliest winner, and it prunes the rest at once.
+  std::uint64_t settled = 0;  // finite separator prices never made exact
+  std::vector<std::size_t> order(sets.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return prices[a] > prices[b];
+                   });
+  for (const std::size_t i : order) {
+    double value = prices[i];
+    if (value == -inf) continue;
+    if (!exact_prices) {
+      // Only a candidate whose upper bound could still beat the incumbent
+      // runs the exact phase; the bound sits far enough above the exact
+      // value that a pruned candidate could not have tied it either.
+      const double bound = value + separator_margin(value);
+      if (!(bound > floor && beats(i, gain(bound)))) {
+        ++settled;
+        continue;
+      }
+      value = evaluator.exact(sets[i]);
+    }
+    if (value > floor && beats(i, gain(value))) {
+      best = i;
+      best_gain = gain(value);
+      best_value = value;
+    }
+  }
+  provider.mutable_stats().pruned += settled;
+  return {best, best_value};
+}
+
 std::optional<topology::deviation> greedy_propose(
     const strategy_state& state, graph::node_id u,
     const utility_provider& provider, const oracle_options& options,
@@ -98,72 +158,74 @@ std::optional<topology::deviation> greedy_propose(
   const std::vector<graph::node_id> adds =
       add_candidates(state, u, provider, options, scores, stream);
 
-  std::vector<graph::node_id> candidates = own;
-  candidates.insert(candidates.end(), adds.begin(), adds.end());
-  if (candidates.empty()) {
+  std::vector<graph::node_id> unused = own;  // candidates not yet taken
+  unused.insert(unused.end(), adds.begin(), adds.end());
+  if (unused.empty()) {
     // Nothing to compare the base with: it still counts its evaluation.
     provider.count_logical_evaluation();
     return std::nullopt;
   }
-  // One evaluation seam for both provider modes (arena/incremental.h).
-  // plain_greedy takes a strict argmax within each step, so the best value
-  // among the strategies of the current size is a valid filter threshold:
-  // a candidate that cannot beat it can never be the step's choice. The
-  // first candidate of each step sees -infinity.
+  // Algorithm 1's literal greedy, as core/greedy.h runs it over an
+  // objective_fn (DESIGN.md §8.3): each step prices every unused candidate
+  // added to the prefix and takes the strict argmax, the first enumerated
+  // largest value, which is the decide pass at base -inf; a step whose
+  // values are all -inf ends the run. The result is the first best prefix.
   candidate_evaluator evaluator(provider, state.graph(), u, own, adds);
-  std::size_t step_size = 0;
-  double step_best = -inf;
-  const core::objective_fn objective = [&](const core::strategy& s) {
-    if (s.size() != step_size) {
-      step_size = s.size();
-      step_best = -inf;
-    }
-    std::vector<graph::node_id> set;
-    set.reserve(s.size());
-    for (const core::action& a : s) set.push_back(a.peer);
-    evaluator.set_threshold(step_best);
-    const double value = evaluator.evaluate(set);
-    step_best = std::max(step_best, value);
-    return value;
-  };
-  const core::greedy_result rebuilt = core::greedy_fixed_lock(
-      objective, candidates, /*lock=*/0.0, options.max_channels);
-  // Owning no channels at all is a legal strategy (u may stay connected
-  // through counterparties' channels); the greedy engine only reports
-  // non-empty prefixes, so compare against the empty set explicitly, at
-  // the rebuilt value as its threshold: the empty set wins only when it is
-  // at least as good, which a pruned value (strictly below) never is.
-  evaluator.set_threshold(rebuilt.objective_value);
-  const double empty_value = evaluator.evaluate({});
-
+  const bool exact_prices = evaluator.prices_are_exact();
+  std::vector<graph::node_id> prefix;
   std::vector<graph::node_id> chosen;
-  double value = empty_value;
-  if (rebuilt.objective_value > empty_value) {
-    for (const core::action& a : rebuilt.chosen) chosen.push_back(a.peer);
-    std::sort(chosen.begin(), chosen.end());
-    value = rebuilt.objective_value;
+  double value = -inf;
+  const std::size_t steps = std::min(options.max_channels, unused.size());
+  for (std::size_t step = 0; step < steps; ++step) {
+    std::vector<std::vector<graph::node_id>> sets;
+    std::vector<double> prices;
+    for (const graph::node_id peer : unused) {
+      sets.push_back(prefix);
+      sets.back().push_back(peer);
+      prices.push_back(evaluator.price(sets.back()));
+    }
+    const auto [best, best_value] =
+        decide(evaluator, sets, prices, -inf, options.tolerance, provider);
+    if (best == sets.size()) break;
+    unused.erase(unused.begin() + static_cast<std::ptrdiff_t>(best));
+    prefix = std::move(sets[best]);
+    if (best_value > value) {
+      value = best_value;
+      chosen = prefix;
+    }
   }
-  // The base comes last (DESIGN.md §8.3). Rebuilding the own set is no
-  // move whatever the base is worth. Otherwise, once the G - u sweeps
-  // exist, the base's separator value bounds its exact one from below, and
-  // an exact `value` that cannot beat that bound plus the tolerance
-  // settles the activation without the base's exact phase. Without them,
-  // building the sweeps for the base alone would cost more than its exact
-  // phase.
-  if (chosen == own) {
+  std::sort(chosen.begin(), chosen.end());
+  // Owning no channels at all is a legal strategy (u may stay connected
+  // through counterparties' channels), compared after the prefixes: it
+  // wins when it is at least as good, so a price whose upper bound cannot
+  // reach the rebuilt value settles it.
+  double empty_value = evaluator.price({});
+  if (!exact_prices && empty_value > -inf) {
+    if (empty_value + separator_margin(empty_value) > value) {
+      empty_value = evaluator.exact({});
+    } else {
+      ++provider.mutable_stats().pruned;
+    }
+  }
+  if (!(value > empty_value)) {
+    chosen.clear();
+    value = empty_value;
+  }
+  // The base comes last. Rebuilding the own set, or reaching no finite
+  // value, is no move whatever the base is worth: it only counts its
+  // evaluation. Otherwise the G - u sweeps exist (a finite value was
+  // priced), the base's price bounds its exact value from below, and a
+  // `value` that cannot beat that bound plus the tolerance settles the
+  // activation without the base's exact phase.
+  if (chosen == own || value == -inf) {
     provider.count_logical_evaluation();
     return std::nullopt;
   }
-  double base;
-  if (evaluator.separator_ready()) {
-    base = evaluator.price(own);
-    if (base > -inf) {
-      if (!(value > base - separator_margin(base) + options.tolerance))
-        return std::nullopt;
-      base = evaluator.exact(own);
-    }
-  } else {
-    base = evaluator.base_value();
+  double base = evaluator.price(own);
+  if (!exact_prices && base > -inf) {
+    if (!(value > base - separator_margin(base) + options.tolerance))
+      return std::nullopt;
+    base = evaluator.exact(own);
   }
   if (!(value > base + options.tolerance)) return std::nullopt;
   return diff_deviation(u, own, chosen, base, value);
@@ -209,17 +271,16 @@ std::optional<topology::deviation> local_propose(
   }
 
   // Price pass (DESIGN.md §8.3): the base and every candidate, one logical
-  // evaluation each. Full mode prices exactly, so the decide pass below
-  // runs no exact phase there.
+  // evaluation each. Full mode prices exactly, so the decide pass runs no
+  // exact phase there.
   candidate_evaluator evaluator(provider, state.graph(), u, own, adds);
-  const bool exact_prices = evaluator.prices_are_exact();
   double base = evaluator.price(own);
   std::vector<double> prices;
   prices.reserve(sets.size());
   for (const auto& set : sets) prices.push_back(evaluator.price(set));
   // A -inf price is exact (infinite E_fees) and never wins; every other
   // separator price has its exact value within its margin (DESIGN.md §8.2).
-  if (!exact_prices && base > -inf) {
+  if (!evaluator.prices_are_exact() && base > -inf) {
     // The base's exact value is at least base - margin, so unless some
     // candidate's upper bound beats that plus the tolerance, no candidate
     // can be accepted and the activation is idle.
@@ -236,57 +297,13 @@ std::optional<topology::deviation> local_propose(
     }
     base = evaluator.exact(own);
   }
-
-  // Decide pass. The winner is the first candidate in enumeration order
-  // with the largest gain among those past the acceptance floor; `beats`
-  // ranks by (gain, then lower index), so the visiting order cannot change
-  // it. A mover that cannot reach some receiver rests at U = -inf, where
-  // every finite candidate's gain is +inf: candidates then compare by
-  // their own utility.
-  const bool finite_base = base > -inf;
-  const double floor = finite_base ? base + options.tolerance : base;
-  const auto gain = [&](double value) {
-    return finite_base ? value - base : value;
-  };
-  std::size_t best = sets.size();
-  double best_gain = 0.0;
-  double best_value = 0.0;
-  const auto beats = [&](std::size_t i, double g) {
-    return best == sets.size() || g > best_gain ||
-           (g == best_gain && i < best);
-  };
-  // Descending price, ties in enumeration order: the first exact value is
-  // the likeliest winner, and it prunes the rest at once.
-  std::uint64_t settled = 0;  // finite separator prices never made exact
-  std::vector<std::size_t> order(sets.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return prices[a] > prices[b];
-                   });
-  for (const std::size_t i : order) {
-    double value = prices[i];
-    if (value == -inf) continue;
-    if (!exact_prices) {
-      // Only a candidate whose upper bound could still beat the incumbent
-      // runs the exact phase; the bound sits far enough above the exact
-      // value that a pruned candidate could not have tied it either.
-      const double bound = value + separator_margin(value);
-      if (!(bound > floor && beats(i, gain(bound)))) {
-        ++settled;
-        continue;
-      }
-      value = evaluator.exact(sets[i]);
-    }
-    if (value > floor && beats(i, gain(value))) {
-      best = i;
-      best_gain = gain(value);
-      best_value = value;
-    }
-  }
-  provider.mutable_stats().pruned += settled;
+  // A mover that cannot reach some receiver rests at U = -inf, where every
+  // finite candidate's gain is +inf: the decide pass then compares
+  // candidates by their own utility.
+  const auto [best, value] =
+      decide(evaluator, sets, prices, base, options.tolerance, provider);
   if (best == sets.size()) return std::nullopt;
-  return diff_deviation(u, own, sets[best], base, best_value);
+  return diff_deviation(u, own, sets[best], base, value);
 }
 
 }  // namespace

@@ -7,8 +7,9 @@
 // the library's existing optimisers:
 //
 //   * greedy — rebuilds the player's OWN channel set from scratch with the
-//     literal Algorithm 1 engine (core/greedy.h, generic objective
-//     overload): candidates are the current own peers plus the top-k
+//     literal Algorithm 1 steps (those of core/greedy.h's generic
+//     objective engine), each step decided by the local oracle's decide
+//     pass: candidates are the current own peers plus the top-k
 //     demand-weighted-betweenness nodes plus a few random explorers drawn
 //     from the player's private splitmix64 stream. O(|cands|^2) utility
 //     evaluations per activation.

@@ -95,11 +95,13 @@ struct sweep_stats {
   std::uint64_t forest = 0;          ///< G - u sweeps of the separator
   std::uint64_t resweeps = 0;        ///< incremental-mode exact sweeps
   std::uint64_t accumulations = 0;   ///< sources priced by the separator
-  /// Fee BFS runs: every full-mode evaluation; in incremental mode only
-  /// those before the activation's G - u sweeps exist.
+  /// Fee BFS runs: every full-mode evaluation; in incremental mode one per
+  /// set priced up to the activation's first finite one, which builds the
+  /// G - u sweeps.
   std::uint64_t support_bfs = 0;
-  /// Candidates settled without an exact phase (incremental mode only;
-  /// -inf candidates and the base are not counted).
+  /// Candidates a decide pass, an idle local activation or greedy's empty
+  /// set settled without an exact phase (incremental mode only; -inf
+  /// candidates and the base are not counted).
   std::uint64_t pruned = 0;
   [[nodiscard]] std::uint64_t effective_sweeps() const noexcept {
     return full_sweeps + forest + resweeps;

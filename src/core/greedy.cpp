@@ -166,10 +166,4 @@ greedy_result greedy_fixed_lock(const objective_fn& objective,
   return plain_greedy(objective, candidates, locks);
 }
 
-greedy_result greedy_with_step_locks(const objective_fn& objective,
-                                     std::span<const graph::node_id> candidates,
-                                     std::span<const double> locks) {
-  return plain_greedy(objective, candidates, locks);
-}
-
 }  // namespace lcg::core

@@ -49,17 +49,12 @@ struct greedy_result {
 /// Submodularity is not assumed, so CELF lazy evaluation never applies:
 /// every remaining candidate is re-evaluated each step, exactly as the
 /// paper writes the algorithm. `evaluations` counts objective calls. The
-/// arena's greedy best-response oracle (src/arena/oracles.h) rebuilds a
-/// player's channel strategy through these entry points with the Section IV
-/// utility as the objective.
+/// arena's greedy best-response oracle (src/arena/oracles.h) runs the same
+/// steps on its own evaluator, and its tests take this engine as their
+/// reference.
 [[nodiscard]] greedy_result greedy_fixed_lock(
     const objective_fn& objective, std::span<const graph::node_id> candidates,
     double lock, std::size_t max_channels);
-
-/// Generic engine with a prescribed lock per step.
-[[nodiscard]] greedy_result greedy_with_step_locks(
-    const objective_fn& objective, std::span<const graph::node_id> candidates,
-    std::span<const double> locks);
 
 }  // namespace lcg::core
 

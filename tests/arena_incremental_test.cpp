@@ -19,6 +19,7 @@
 
 #include "arena/engine.h"
 #include "arena/oracles.h"
+#include "core/greedy.h"
 #include "dist/zipf.h"
 #include "graph/generators.h"
 #include "graph/properties.h"
@@ -68,6 +69,22 @@ std::vector<graph::node_id> non_neighbours(const strategy_state& state,
     if (v != u && !state.connected(u, v)) out.push_back(v);
   }
   return out;
+}
+
+/// The move from `own` to `chosen` (both sorted) as an oracle returns it.
+topology::deviation diff_of(graph::node_id u,
+                            const std::vector<graph::node_id>& own,
+                            const std::vector<graph::node_id>& chosen,
+                            double before, double after) {
+  topology::deviation dev;
+  dev.deviator = u;
+  std::set_difference(own.begin(), own.end(), chosen.begin(), chosen.end(),
+                      std::back_inserter(dev.removed_peers));
+  std::set_difference(chosen.begin(), chosen.end(), own.begin(), own.end(),
+                      std::back_inserter(dev.added_peers));
+  dev.utility_before = before;
+  dev.utility_after = after;
+  return dev;
 }
 
 /// Every observable of the two runs must agree; utilities bit for bit.
@@ -134,13 +151,17 @@ TEST(IncrementalMode, SweepLedgerAccountsEveryPath) {
   // The local oracle prices every candidate by the separator over sweeps of
   // G - u (forest, accumulations), settles most of them on that value
   // (pruned) and sweeps the rest exactly (resweeps, whole plans); the
-  // full-sweep counter only grows through node_scores. Every fee is read
-  // from the G - u rows, so no fee BFS runs.
+  // full-sweep counter only grows through node_scores. The sets priced
+  // before the G - u sweeps exist run the fee BFS — on this connected host
+  // only the first, so at most one per activation — and every later fee is
+  // read from the rows.
+  const std::uint64_t activations = inc.rounds * start.node_count();
   EXPECT_GT(inc.sweeps.forest, 0u);
   EXPECT_GT(inc.sweeps.accumulations, 0u);
   EXPECT_GT(inc.sweeps.pruned, 0u);
   EXPECT_GT(inc.sweeps.resweeps, 0u);
-  EXPECT_EQ(inc.sweeps.support_bfs, 0u);
+  EXPECT_GT(inc.sweeps.support_bfs, 0u);
+  EXPECT_LE(inc.sweeps.support_bfs, activations);
   EXPECT_EQ(inc.sweeps.resweeps % plan, 0u);
   EXPECT_EQ(inc.sweeps.accumulations % plan, 0u);
   EXPECT_LE(inc.sweeps.accumulations, plan * inc.evaluations);
@@ -159,17 +180,23 @@ TEST(IncrementalMode, SweepLedgerAccountsEveryPath) {
   EXPECT_EQ(full.sweeps.accumulations, 0u);
   EXPECT_EQ(full.sweeps.pruned, 0u);
   EXPECT_GT(full.sweeps.full_sweeps, inc.sweeps.full_sweeps);
-  // The greedy oracle runs its first candidate before any G - u sweep
-  // exists, so it runs some fee BFS, but reads the later fees from the rows.
+  // The greedy oracle prices through the same protocol. Its first sets are
+  // single channels, and a single channel can leave some receiver
+  // unreachable (-inf), so an activation may run a few fee BFS before its
+  // first finite price (GreedyOracleMatchesLiteralAlgorithm1 counts them
+  // exactly); every later fee is read from the rows.
   const arena_result greedy =
       run_mode(start, oracle_kind::greedy, activation_order::round_robin, 0,
                provider_mode::incremental, 5);
   EXPECT_GT(greedy.sweeps.support_bfs, 0u);
   EXPECT_LT(greedy.sweeps.support_bfs, greedy.evaluations / 4);
+  EXPECT_GT(greedy.sweeps.pruned, 0u);
+  EXPECT_LE(greedy.sweeps.pruned + greedy.sweeps.resweeps / plan,
+            greedy.evaluations);
 }
 
-TEST(IncrementalMode, GreedyOracleFiltersAgainstTheStepBest) {
-  // The greedy oracle passes each step's best value as the threshold, so
+TEST(IncrementalMode, GreedyOracleSettlesStepCandidatesByPrice) {
+  // Each greedy step runs the decide pass over separator prices, so
   // incremental greedy runs settle candidates on the separator value — and
   // stay bitwise equal to full mode, under exact and sampled backends.
   for (const std::size_t threshold : {std::size_t{0}, std::size_t{192}}) {
@@ -190,9 +217,8 @@ TEST(IncrementalMode, GreedyOracleFiltersAgainstTheStepBest) {
 TEST(IncrementalMode, EvaluatorMatchesProviderPerCandidate) {
   // Direct per-candidate equivalence, independent of the engine: every
   // candidate own-set the local oracle would enumerate evaluates to the
-  // same bits through both modes without a threshold (added channels,
-  // dropped channels, the empty set), and obeys the filter contract with
-  // one.
+  // same bits through both modes (added channels, dropped channels, the
+  // empty set), and its price obeys the price contract.
   const graph::digraph start = make_start("ws", 18, 3);
   topology::game_params params;
   params.l = 1.5;
@@ -231,26 +257,21 @@ TEST(IncrementalMode, EvaluatorMatchesProviderPerCandidate) {
     }
     EXPECT_EQ(full.evaluations(), inc.evaluations());
 
-    // Under a threshold at the median exact value, the filter settles some
-    // candidates by their separator value, which must then sit at or below
-    // the threshold together with the exact value; the rest come back
-    // bitwise exact. Full mode ignores the threshold.
-    std::vector<double> sorted = exact;
-    std::sort(sorted.begin(), sorted.end());
-    const double cut = sorted[sorted.size() / 2];
-    full_eval.set_threshold(cut);
-    inc_eval.set_threshold(cut);
-    const std::uint64_t pruned_before = inc.stats().pruned;
+    // The price contract: an incremental price lies within its margin of
+    // the exact value and is -inf exactly when the exact value is; a
+    // full-mode price is the exact value.
     for (std::size_t i = 0; i < sets.size(); ++i) {
-      EXPECT_EQ(full_eval.evaluate(sets[i]), exact[i]);
-      const double value = inc_eval.evaluate(sets[i]);
-      if (value != exact[i]) {
-        EXPECT_LE(value, cut) << "set " << i;
-        EXPECT_LE(exact[i], cut) << "set " << i;
+      EXPECT_EQ(full_eval.price(sets[i]), exact[i]) << "set " << i;
+      const double price = inc_eval.price(sets[i]);
+      if (exact[i] == -std::numeric_limits<double>::infinity()) {
+        EXPECT_EQ(price, exact[i]) << "set " << i;
+      } else {
+        EXPECT_GT(price, -std::numeric_limits<double>::infinity());
+        EXPECT_LE(std::abs(price - exact[i]), separator_margin(price))
+            << "set " << i;
       }
     }
-    EXPECT_GT(inc.stats().pruned, pruned_before);
-    EXPECT_EQ(full.stats().pruned, 0u);
+    EXPECT_EQ(full.evaluations(), inc.evaluations());
   }
 }
 
@@ -458,6 +479,174 @@ TEST(IncrementalMode, LocalOracleBreaksBitwiseTiesByEnumerationOrder) {
   EXPECT_GT(reversed_ties, 0u);
 }
 
+TEST(IncrementalMode, GreedyOracleMatchesLiteralAlgorithm1) {
+  // The greedy oracle runs Algorithm 1's steps on the decide pass at base
+  // -inf. The reference is the one-pass oracle: core::greedy_fixed_lock
+  // over an objective_fn of topology::node_utility values, then the empty
+  // set (it wins at >=) and the base (a move needs a strict gain past the
+  // tolerance). Both modes must match it bit for bit and count the same
+  // logical evaluations. Each step's strict argmax picks the first
+  // enumerated of its bitwise ties; the separator prices of some tied
+  // candidates order them the other way round, so only the index rule of
+  // the decide pass picks the right one there. The incremental ledger
+  // runs one fee BFS per set priced up to the first finite one.
+  const struct {
+    const char* name;
+    graph::digraph g;
+  } hosts[] = {
+      {"cycle8", graph::cycle_graph(8)},
+      {"cycle9", graph::cycle_graph(9)},
+      {"cycle10", graph::cycle_graph(10)},
+      {"cycle13", graph::cycle_graph(13)},
+      {"cycle14", graph::cycle_graph(14)},
+      {"path8", graph::path_graph(8)},
+      {"star6", graph::star_graph(6)},
+      {"complete5", graph::complete_graph(5)},
+      {"ws12", make_start("ws", 12, 5)},
+  };
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  oracle_options opts;
+  opts.candidate_k = 16;
+  opts.candidate_random = 0;
+  std::size_t tied_steps = 0;
+  std::size_t reversed_ties = 0;  // a later tie has the higher price
+  std::size_t moves = 0;
+  std::size_t late_rows = 0;  // activations whose first price is -inf
+  for (const auto& host : hosts) {
+    for (const auto& [l, zipf_s] :
+         {std::pair{0.05, 1.0}, {0.3, 1.0}, {1.5, 1.0}, {4.0, 1.0},
+          {0.3, 0.5}, {1.5, 0.5}, {0.3, 2.0}, {1.5, 2.0}}) {
+      SCOPED_TRACE(std::string(host.name) + " l=" + std::to_string(l) +
+                   " s=" + std::to_string(zipf_s));
+      topology::game_params params;
+      params.l = l;
+      params.s = zipf_s;
+      provider_options full_opts;
+      provider_options inc_opts;
+      inc_opts.mode = provider_mode::incremental;
+      const strategy_state state(host.g);
+      const utility_provider scorer(params, full_opts);
+      const std::vector<double> scores = scorer.node_scores(state.graph());
+      for (graph::node_id u = 0; u < state.player_count(); ++u) {
+        SCOPED_TRACE("u=" + std::to_string(u));
+        const std::vector<graph::node_id>& own = state.owned(u);
+        std::vector<graph::node_id> adds;
+        (void)local_neighbourhood(state, u, scores, opts, adds);
+        std::vector<graph::node_id> candidates = own;
+        candidates.insert(candidates.end(), adds.begin(), adds.end());
+        // U_u with exactly the channels to `set` owned by u, on a copy of
+        // the host; additions append in `adds` order, as the evaluator's
+        // slots do.
+        const auto utility = [&](const std::vector<graph::node_id>& set) {
+          graph::digraph g = host.g;
+          const auto in_set = [&](graph::node_id p) {
+            return std::find(set.begin(), set.end(), p) != set.end();
+          };
+          for (const graph::node_id p : own) {
+            if (!in_set(p)) {
+              g.remove_edge(g.find_edge(u, p));
+              g.remove_edge(g.find_edge(p, u));
+            }
+          }
+          for (const graph::node_id p : adds) {
+            if (in_set(p)) g.add_bidirectional(u, p);
+          }
+          return topology::node_utility(g, u, params).total;
+        };
+        // The one-pass reference, recording every objective call in order.
+        std::vector<std::vector<graph::node_id>> calls;
+        std::vector<double> values;
+        const core::objective_fn objective = [&](const core::strategy& st) {
+          std::vector<graph::node_id> set;
+          for (const core::action& a : st) set.push_back(a.peer);
+          calls.push_back(set);
+          values.push_back(utility(set));
+          return values.back();
+        };
+        std::uint64_t evaluations = 1;  // the base alone
+        std::optional<topology::deviation> expected;
+        if (!candidates.empty()) {
+          const core::greedy_result rebuilt = core::greedy_fixed_lock(
+              objective, candidates, /*lock=*/0.0, opts.max_channels);
+          calls.push_back({});
+          values.push_back(utility({}));
+          evaluations = rebuilt.evaluations + 2;
+          std::vector<graph::node_id> chosen;
+          double value = values.back();
+          if (rebuilt.objective_value > value) {
+            for (const core::action& a : rebuilt.chosen)
+              chosen.push_back(a.peer);
+            std::sort(chosen.begin(), chosen.end());
+            value = rebuilt.objective_value;
+          }
+          const double base = utility(own);
+          if (chosen != own && value > base + opts.tolerance)
+            expected = diff_of(u, own, chosen, base, value);
+        }
+        // Bitwise ties at a step's maximum, and their separator prices.
+        const utility_provider price_provider(params, inc_opts);
+        candidate_evaluator priced(price_provider, state.graph(), u, own,
+                                   adds);
+        for (std::size_t a = 0; a + 1 < calls.size(); ++a) {
+          std::size_t best = a;
+          std::size_t b = a;
+          for (; b + 1 < calls.size() &&
+                 calls[b].size() == calls[a].size();
+               ++b) {
+            if (values[b] > values[best]) best = b;
+          }
+          std::size_t ties = 0;
+          for (std::size_t i = best + 1; i < b; ++i) {
+            if (values[i] != values[best] || values[i] == -inf) continue;
+            ++ties;
+            if (priced.price(calls[i]) > priced.price(calls[best]))
+              ++reversed_ties;
+          }
+          if (ties > 0) ++tied_steps;
+          a = b - 1;
+        }
+        // The fee BFS runs until the first finite price builds the rows.
+        const auto first_finite =
+            std::find_if(values.begin(), values.end(),
+                         [](double v) { return v > -inf; });
+        const std::uint64_t fee_bfs =
+            candidates.empty()
+                ? 0
+                : static_cast<std::uint64_t>(
+                      std::min(first_finite + 1, values.end()) -
+                      values.begin());
+        if (expected) ++moves;
+        if (fee_bfs > 1) ++late_rows;
+
+        for (const provider_options& popts : {full_opts, inc_opts}) {
+          SCOPED_TRACE(std::string(provider_mode_name(popts.mode)));
+          const utility_provider provider(params, popts);
+          rng stream(1);
+          const std::optional<topology::deviation> dev =
+              propose_move(oracle_kind::greedy, state, u, provider, opts,
+                           scores, stream);
+          EXPECT_EQ(provider.evaluations(), evaluations);
+          if (popts.mode == provider_mode::incremental)
+            EXPECT_EQ(provider.stats().support_bfs, fee_bfs);
+          ASSERT_EQ(dev.has_value(), expected.has_value());
+          if (!dev) continue;
+          EXPECT_EQ(dev->added_peers, expected->added_peers);
+          EXPECT_EQ(dev->removed_peers, expected->removed_peers);
+          EXPECT_EQ(dev->utility_before, expected->utility_before);
+          EXPECT_EQ(dev->utility_after, expected->utility_after);
+        }
+      }
+    }
+  }
+  // The hosts must exercise the rule: steps whose maximum ties bit for bit,
+  // in both visiting orders, activations that move, and activations that
+  // price -inf sets before the rows exist.
+  EXPECT_GT(tied_steps, 0u);
+  EXPECT_GT(reversed_ties, 0u);
+  EXPECT_GT(moves, 0u);
+  EXPECT_GT(late_rows, 0u);
+}
+
 TEST(IncrementalMode, FeesFromSeparatorRowsMatchTheBfs) {
   // Once the G - u sweeps exist, E_fees reads d(u, t) from them: bitwise
   // the fee of a BFS of the candidate graph (full mode's path) and of
@@ -511,7 +700,8 @@ TEST(IncrementalMode, FeesFromSeparatorRowsMatchTheBfs) {
       candidate_evaluator bfs(full, state.graph(), u, own, adds);
       candidate_evaluator rows(inc, state.graph(), u, own, adds);
       (void)rows.price(own);  // builds the G - u sweeps
-      ASSERT_TRUE(rows.separator_ready());
+      ASSERT_GT(inc.stats().forest, 0u);
+      const std::uint64_t bfs_before = inc.stats().support_bfs;
       for (const auto& set : sets) {
         graph::digraph g = host.g;
         for (const graph::node_id p : own) {
@@ -535,6 +725,8 @@ TEST(IncrementalMode, FeesFromSeparatorRowsMatchTheBfs) {
           ++finite;
         }
       }
+      EXPECT_EQ(inc.stats().support_bfs, bfs_before)
+          << "u=" << u << ": a fee ran the BFS after the rows existed";
     }
   }
   // Both sides of the short cut are exercised.
