@@ -199,13 +199,14 @@ void candidate_evaluator::build_separator() {
   const graph::csr_graph view = graph::freeze(work_);
   for (const graph::edge_id e : cut) work_.restore_edge(e);
 
-  graph::sp_dag dag;
-  x.dist.reserve(roots.size() * work_.node_count());
-  x.sigma.reserve(roots.size() * work_.node_count());
-  for (const graph::node_id root : roots) {
-    graph::shortest_path_dag(view, root, dag);
-    x.dist.insert(x.dist.end(), dag.dist.begin(), dag.dist.end());
-    x.sigma.insert(x.sigma.end(), dag.sigma.begin(), dag.sigma.end());
+  // Each sweep writes its root's row in place.
+  const std::size_t n = work_.node_count();
+  x.dist.resize(roots.size() * n);
+  x.sigma.resize(roots.size() * n);
+  std::vector<graph::node_id> order;
+  for (std::size_t r = 0; r < roots.size(); ++r) {
+    graph::shortest_path_counts(view, roots[r], {x.dist.data() + r * n, n},
+                                {x.sigma.data() + r * n, n}, order);
   }
   provider_.mutable_stats().forest += roots.size();
 }

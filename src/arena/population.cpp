@@ -16,16 +16,6 @@ namespace lcg::arena {
 
 namespace {
 
-/// splitmix64 step — must stay identical to arena/engine.cpp's historical
-/// stream derivation so a degenerate population run replays the static
-/// arena draw for draw.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// A proposal is structurally applicable iff every removed channel still
 /// exists and every added channel still doesn't (simultaneous mode: an
 /// earlier-applied proposal may have consumed either side).
@@ -111,7 +101,8 @@ churn_schedule make_churn_schedule(std::size_t node_count, std::size_t initial,
                                    std::size_t max_rounds, std::uint64_t seed) {
   LCG_EXPECTS(initial >= 2 && initial <= node_count);
   LCG_EXPECTS(max_rounds >= 2);
-  rng stream(splitmix64(seed ^ 0x6a09e667f3bcc908ULL));
+  std::uint64_t state = seed ^ 0x6a09e667f3bcc908ULL;
+  rng stream(splitmix64(state));
 
   std::vector<std::size_t> rounds(joins + leaves);
   for (std::size_t& r : rounds) {
@@ -222,10 +213,15 @@ population_result run_population(const graph::digraph& start,
 
   std::vector<rng> streams;
   streams.reserve(n);
+  // Each stream seed is one splitmix64 step from its own state — the
+  // historical derivation, so a degenerate population run replays the
+  // static arena draw for draw.
   for (std::size_t u = 0; u < n; ++u) {
-    streams.emplace_back(splitmix64(ao.seed + 0x9e3779b97f4a7c15ULL * (u + 1)));
+    std::uint64_t state = ao.seed + 0x9e3779b97f4a7c15ULL * (u + 1);
+    streams.emplace_back(splitmix64(state));
   }
-  rng schedule(splitmix64(ao.seed ^ 0xa5c3ab9471bd0017ULL));
+  std::uint64_t schedule_state = ao.seed ^ 0xa5c3ab9471bd0017ULL;
+  rng schedule(splitmix64(schedule_state));
 
   std::optional<ledger_mirror> mirror;
   if (options.track_ledger) {

@@ -1,7 +1,5 @@
 #include "graph/csr.h"
 
-#include <algorithm>
-
 #include "obs/registry.h"
 #include "obs/span.h"
 #include "util/error.h"
@@ -56,101 +54,6 @@ csr_graph freeze(const digraph& g) {
   }
   LCG_ENSURES(c.col_.size() == m);
   return c;
-}
-
-std::vector<std::int32_t> bfs_distances(const csr_graph& c, node_id src) {
-  LCG_EXPECTS(c.has_node(src));
-  std::vector<std::int32_t> dist(c.node_count(), unreachable);
-  std::vector<node_id> frontier;  // FIFO with a read head, as the digraph's
-  frontier.reserve(c.node_count());
-  dist[src] = 0;
-  frontier.push_back(src);
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    const node_id v = frontier[head];
-    for (csr_graph::packed_id k = c.row_begin(v); k < c.row_end(v); ++k) {
-      const node_id w = c.edge_dst(k);
-      if (dist[w] == unreachable) {
-        dist[w] = dist[v] + 1;
-        frontier.push_back(w);
-      }
-    }
-  }
-  return dist;
-}
-
-sp_dag shortest_path_dag(const csr_graph& c, node_id src) {
-  sp_dag result;
-  shortest_path_dag(c, src, result);
-  return result;
-}
-
-void shortest_path_dag(const csr_graph& c, node_id src, sp_dag& out) {
-  LCG_EXPECTS(c.has_node(src));
-  out.reset(c.node_count());
-  out.dist[src] = 0;
-  out.sigma[src] = 1.0;
-  out.order.push_back(src);
-  for (std::size_t head = 0; head < out.order.size(); ++head) {
-    const node_id v = out.order[head];
-    for (csr_graph::packed_id k = c.row_begin(v); k < c.row_end(v); ++k) {
-      const node_id w = c.edge_dst(k);
-      if (out.dist[w] == unreachable) {
-        out.dist[w] = out.dist[v] + 1;
-        out.order.push_back(w);
-      }
-      if (out.dist[w] == out.dist[v] + 1) {
-        out.sigma[w] += out.sigma[v];
-        out.pred.add(w, k);  // packed index, not original edge id
-      }
-    }
-  }
-  out.pred.group();
-}
-
-bucket_sssp_result bucket_dijkstra(const csr_graph& c, node_id src,
-                                   const std::vector<std::uint32_t>& weight) {
-  LCG_EXPECTS(c.has_node(src));
-  LCG_EXPECTS(weight.empty() || weight.size() == c.edge_count());
-  std::uint32_t max_w = 1;
-  for (const std::uint32_t w : weight) {
-    LCG_EXPECTS(w >= 1);  // zero-weight edges would need a deque variant
-    max_w = std::max(max_w, w);
-  }
-
-  bucket_sssp_result result;
-  result.dist.assign(c.node_count(), unreachable);
-  result.parent.assign(c.node_count(), csr_graph::npos);
-  if (c.node_count() == 0) return result;
-
-  // Dial's algorithm: tentative distances live in max_w + 1 circular
-  // buckets (any two coexisting tentative values differ by at most max_w).
-  // Stale entries are skipped on pop, like the heap variant's lazy delete.
-  const std::size_t wheel = static_cast<std::size_t>(max_w) + 1;
-  std::vector<std::vector<node_id>> buckets(wheel);
-  result.dist[src] = 0;
-  buckets[0].push_back(src);
-  std::size_t remaining = 1;
-  for (std::int64_t d = 0; remaining > 0; ++d) {
-    std::vector<node_id>& bucket = buckets[static_cast<std::size_t>(d) % wheel];
-    std::vector<node_id> settled;
-    settled.swap(bucket);
-    remaining -= settled.size();
-    for (const node_id v : settled) {
-      if (result.dist[v] != static_cast<std::int32_t>(d)) continue;  // stale
-      for (csr_graph::packed_id k = c.row_begin(v); k < c.row_end(v); ++k) {
-        const node_id w = c.edge_dst(k);
-        const std::uint32_t ew = weight.empty() ? 1u : weight[k];
-        const auto candidate = static_cast<std::int32_t>(d + ew);
-        if (result.dist[w] == unreachable || candidate < result.dist[w]) {
-          result.dist[w] = candidate;
-          result.parent[w] = k;
-          buckets[static_cast<std::size_t>(candidate) % wheel].push_back(w);
-          ++remaining;
-        }
-      }
-    }
-  }
-  return result;
 }
 
 }  // namespace lcg::graph

@@ -11,9 +11,9 @@
 //
 // That order pin is the whole contract. Because freeze() preserves the
 // per-node adjacency sequence (out_edge_ids order with inactive slots
-// skipped), every traversal kernel below visits edges in the same order as
-// the digraph's for_each_out, so BFS frontiers and shortest-path DAGs
-// (dist, sigma, order) are BITWISE equal to the adjacency-list kernels'
+// skipped), for_each_out visits edges in the same order as the digraph's,
+// so the one BFS body of graph/traversal.h gives BITWISE equal frontiers
+// and shortest-path DAGs (dist, sigma, order) over either representation
 // (tests/graph_csr_test.cpp pins this). The Brandes engine
 // (graph/betweenness.h) sweeps only this representation; its digraph
 // overloads freeze and forward.
@@ -41,8 +41,8 @@ namespace lcg::graph {
 
 class csr_graph {
  public:
-  /// Packed edge index type; `npos` marks "no edge" (bucket_dijkstra
-  /// parents, unreachable nodes).
+  /// Packed edge index type; `npos` marks "no edge" (an edge slot with no
+  /// packed index, as in traffic's route index).
   using packed_id = std::uint32_t;
   static constexpr packed_id npos = static_cast<packed_id>(-1);
 
@@ -76,7 +76,8 @@ class csr_graph {
   /// Calls fn(packed_id, dst) for each out-edge of v, in the frozen order.
   template <typename Fn>
   void for_each_out(node_id v, Fn&& fn) const {
-    for (packed_id k = row_[v]; k < row_[v + 1]; ++k) fn(k, col_[k]);
+    for (packed_id k = row_[v], end = row_[v + 1]; k < end; ++k)
+      fn(k, col_[k]);
   }
 
   [[nodiscard]] std::size_t out_degree(node_id v) const {
@@ -120,36 +121,6 @@ class csr_graph {
 
 /// O(n + m) flat snapshot of the active edges, per-node order preserved.
 [[nodiscard]] csr_graph freeze(const digraph& g);
-
-/// Hop distances from `src` (same contract as the digraph overload in
-/// graph/traversal.h; bitwise-equal output).
-[[nodiscard]] std::vector<std::int32_t> bfs_distances(const csr_graph& c,
-                                                      node_id src);
-
-/// Brandes front-end over the flat view. The returned sp_dag is
-/// field-for-field bitwise equal to the digraph overload's EXCEPT that
-/// `pred` holds PACKED indices (map through edge_slot() to compare); dist,
-/// sigma and order match the digraph's exactly.
-[[nodiscard]] sp_dag shortest_path_dag(const csr_graph& c, node_id src);
-
-/// In-place form with the digraph overload's buffer reuse (see
-/// graph/traversal.h): a warm `out` is re-swept without allocating.
-void shortest_path_dag(const csr_graph& c, node_id src, sp_dag& out);
-
-/// Dial bucket-queue single-source shortest paths for small non-negative
-/// integer edge weights — the uniform-weight (hop metric) replacement for
-/// the binary-heap Dijkstra on frozen hosts. `weight` gives the cost of
-/// each PACKED edge and must be >= 1 everywhere (checked); empty means
-/// uniform weight 1, where the result's dist is exactly bfs_distances.
-/// O(m + n + max_dist) with a circular bucket array of max_weight + 1
-/// buckets, no heap, no comparisons beyond the bucket scan.
-struct bucket_sssp_result {
-  std::vector<std::int32_t> dist;           // -1 (unreachable) like BFS
-  std::vector<csr_graph::packed_id> parent; // packed edge into v, npos if none
-};
-[[nodiscard]] bucket_sssp_result bucket_dijkstra(
-    const csr_graph& c, node_id src,
-    const std::vector<std::uint32_t>& weight = {});
 
 }  // namespace lcg::graph
 

@@ -2,27 +2,88 @@
 
 #include <algorithm>
 
+#include "graph/csr.h"
+
 namespace lcg::graph {
 
-std::vector<std::int32_t> bfs_distances(const digraph& g, node_id src) {
-  LCG_EXPECTS(g.has_node(src));
-  std::vector<std::int32_t> dist(g.node_count(), unreachable);
+namespace {
+
+/// Calls fn(key, head) for each active out-edge of v, in the
+/// representation's order (the same for a digraph and its freeze): the key
+/// is the original edge id of a digraph, the packed index of a csr_graph.
+template <typename Fn>
+void for_each_head(const digraph& g, node_id v, Fn&& fn) {
+  g.for_each_out(v, [&](edge_id e, const edge& ed) { fn(e, ed.dst); });
+}
+template <typename Fn>
+void for_each_head(const csr_graph& c, node_id v, Fn&& fn) {
+  c.for_each_out(v, fn);
+}
+
+/// The one hop-count BFS. `dist` arrives all `unreachable` and leaves with
+/// the hop distances from `src`; `order` arrives empty and is the FIFO, so
+/// it leaves with the nodes in discovery order. tight(v, w, key) is called
+/// for every edge on a shortest path (dist[w] == dist[v] + 1), in scan
+/// order; a no-op `tight` leaves plain BFS.
+template <typename Graph, typename Tight>
+void bfs(const Graph& g, node_id src, std::span<std::int32_t> dist,
+         std::vector<node_id>& order, Tight&& tight) {
+  LCG_EXPECTS(g.has_node(src) && dist.size() == g.node_count());
   // Each node enters the FIFO once, so a reserved vector with a read head
   // replaces std::queue's chunked deque.
-  std::vector<node_id> frontier;
-  frontier.reserve(g.node_count());
+  order.reserve(g.node_count());
   dist[src] = 0;
-  frontier.push_back(src);
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    const node_id v = frontier[head];
-    g.for_each_out(v, [&](edge_id, const edge& e) {
-      if (dist[e.dst] == unreachable) {
-        dist[e.dst] = dist[v] + 1;
-        frontier.push_back(e.dst);
+  order.push_back(src);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const node_id v = order[head];
+    const std::int32_t next = dist[v] + 1;
+    for_each_head(g, v, [&](auto key, node_id w) {
+      if (dist[w] == unreachable) {
+        dist[w] = next;
+        order.push_back(w);
       }
+      if (dist[w] == next) tight(v, w, key);
     });
   }
+}
+
+/// bfs that also counts shortest paths: `sigma` arrives all zero; each
+/// tight edge adds sigma[v] to sigma[w] and is passed on as pred(w, key).
+template <typename Graph, typename Pred>
+void count_paths(const Graph& g, node_id src, std::span<std::int32_t> dist,
+                 std::span<double> sigma, std::vector<node_id>& order,
+                 Pred&& pred) {
+  sigma[src] = 1.0;
+  bfs(g, src, dist, order, [&](node_id v, node_id w, auto key) {
+    sigma[w] += sigma[v];
+    pred(w, key);
+  });
+}
+
+template <typename Graph>
+std::vector<std::int32_t> distances(const Graph& g, node_id src) {
+  std::vector<std::int32_t> dist(g.node_count(), unreachable);
+  std::vector<node_id> order;
+  bfs(g, src, dist, order, [](node_id, node_id, auto) {});
   return dist;
+}
+
+template <typename Graph>
+void dag_into(const Graph& g, node_id src, sp_dag& out) {
+  out.reset(g.node_count());
+  count_paths(g, src, out.dist, out.sigma, out.order,
+              [&](node_id w, auto key) { out.pred.add(w, key); });
+  out.pred.group();
+}
+
+}  // namespace
+
+std::vector<std::int32_t> bfs_distances(const digraph& g, node_id src) {
+  return distances(g, src);
+}
+
+std::vector<std::int32_t> bfs_distances(const csr_graph& c, node_id src) {
+  return distances(c, src);
 }
 
 double expected_hop_cost(std::span<const double> p,
@@ -67,41 +128,33 @@ void sp_dag::reset(std::size_t n) {
 
 sp_dag shortest_path_dag(const digraph& g, node_id src) {
   sp_dag result;
-  shortest_path_dag(g, src, result);
+  dag_into(g, src, result);
+  return result;
+}
+
+sp_dag shortest_path_dag(const csr_graph& c, node_id src) {
+  sp_dag result;
+  dag_into(c, src, result);
   return result;
 }
 
 void shortest_path_dag(const digraph& g, node_id src, sp_dag& out) {
-  LCG_EXPECTS(g.has_node(src));
-  out.reset(g.node_count());
-  out.dist[src] = 0;
-  out.sigma[src] = 1.0;
-  out.order.push_back(src);
-  // `order` is the FIFO: nodes are appended when discovered and visited in
-  // that order, which is exactly the dequeue order a queue would give.
-  for (std::size_t head = 0; head < out.order.size(); ++head) {
-    const node_id v = out.order[head];
-    g.for_each_out(v, [&](edge_id e, const edge& ed) {
-      const node_id w = ed.dst;
-      if (out.dist[w] == unreachable) {
-        out.dist[w] = out.dist[v] + 1;
-        out.order.push_back(w);
-      }
-      if (out.dist[w] == out.dist[v] + 1) {
-        out.sigma[w] += out.sigma[v];
-        out.pred.add(w, e);
-      }
-    });
-  }
-  out.pred.group();
+  dag_into(g, src, out);
 }
 
-std::vector<std::vector<std::int32_t>> all_pairs_distances(const digraph& g) {
-  std::vector<std::vector<std::int32_t>> dist;
-  dist.reserve(g.node_count());
-  for (node_id s = 0; s < g.node_count(); ++s)
-    dist.push_back(bfs_distances(g, s));
-  return dist;
+void shortest_path_dag(const csr_graph& c, node_id src, sp_dag& out) {
+  dag_into(c, src, out);
+}
+
+void shortest_path_counts(const csr_graph& c, node_id src,
+                          std::span<std::int32_t> dist,
+                          std::span<double> sigma,
+                          std::vector<node_id>& order) {
+  LCG_EXPECTS(sigma.size() == c.node_count());
+  std::fill(dist.begin(), dist.end(), unreachable);
+  std::fill(sigma.begin(), sigma.end(), 0.0);
+  order.clear();
+  count_paths(c, src, dist, sigma, order, [](node_id, edge_id) {});
 }
 
 std::vector<node_id> shortest_path(const digraph& g, node_id src,

@@ -5,6 +5,14 @@
 // Brandes front-end: besides distances it records the number of shortest
 // paths sigma(v) and the shortest-path predecessor DAG, which both the
 // betweenness computation (Eq. 2) and the rate estimator consume.
+//
+// Every hop-count sweep below, over the adjacency-list digraph and over the
+// frozen csr_graph (graph/csr.h) alike, runs ONE BFS body in traversal.cpp.
+// Both representations yield each node's active out-edges in the same order
+// (the freeze contract), so the two give bitwise-equal dist, sigma and
+// order; only the edge keys in `pred` differ (original ids vs packed
+// indices). Callers that never read predecessors (`bfs_distances`,
+// `shortest_path_counts`) record none.
 
 #ifndef LCG_GRAPH_TRAVERSAL_H
 #define LCG_GRAPH_TRAVERSAL_H
@@ -19,12 +27,16 @@
 
 namespace lcg::graph {
 
+class csr_graph;  // graph/csr.h
+
 /// Distance value for unreachable nodes.
 inline constexpr std::int32_t unreachable = -1;
 
 /// Hop distances from `src` over active edges. dist[src] = 0,
 /// dist[v] = `unreachable` if no path exists.
 [[nodiscard]] std::vector<std::int32_t> bfs_distances(const digraph& g,
+                                                      node_id src);
+[[nodiscard]] std::vector<std::int32_t> bfs_distances(const csr_graph& c,
                                                       node_id src);
 
 /// scale * sum of p[v] * max(dist[v] - hop_offset, 0) over the v < p.size()
@@ -80,17 +92,27 @@ struct sp_dag {
 /// BFS from `src` computing distances, path counts and the predecessor DAG.
 /// sigma is stored as double: path counts grow exponentially with graph
 /// size and only the ratios sigma_sv/sigma_sw are consumed downstream.
+/// Over a csr_graph, `pred` holds PACKED indices (map them through
+/// csr_graph::edge_slot to compare with the digraph's); every other field
+/// is bitwise the digraph overload's.
 [[nodiscard]] sp_dag shortest_path_dag(const digraph& g, node_id src);
+[[nodiscard]] sp_dag shortest_path_dag(const csr_graph& c, node_id src);
 
 /// The same DAG written into `out`, reusing its buffers; `order` doubles as
 /// the BFS FIFO, so a re-sweep into a warm `out` allocates nothing. Any
 /// previous contents (any node count) are overwritten; the result equals
 /// the by-value overload field for field.
 void shortest_path_dag(const digraph& g, node_id src, sp_dag& out);
+void shortest_path_dag(const csr_graph& c, node_id src, sp_dag& out);
 
-/// All-pairs hop distances (n BFS runs), dist[s][t].
-[[nodiscard]] std::vector<std::vector<std::int32_t>> all_pairs_distances(
-    const digraph& g);
+/// The dist, sigma and order of shortest_path_dag(c, src), with no
+/// predecessor lists: `dist` and `sigma` (c.node_count() entries each, any
+/// previous contents) are overwritten in place, so a caller can sweep into
+/// rows of its own flat arrays; `order` is overwritten too and serves as
+/// the FIFO.
+void shortest_path_counts(const csr_graph& c, node_id src,
+                          std::span<std::int32_t> dist,
+                          std::span<double> sigma, std::vector<node_id>& order);
 
 /// One shortest path (as node sequence, src first) or empty if unreachable.
 [[nodiscard]] std::vector<node_id> shortest_path(const digraph& g, node_id src,

@@ -4,20 +4,9 @@
 #include <iterator>
 
 #include "util/format.h"
+#include "util/rng.h"
 
 namespace lcg::runner {
-
-namespace {
-
-std::uint64_t splitmix64_next(std::uint64_t& x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 param_grid::param_grid(sweep_axes axes) : axes_(std::move(axes)) {
   for (const auto& axis : axes_) LCG_EXPECTS(!axis.second.empty());
@@ -70,15 +59,15 @@ std::uint64_t derive_seed(std::uint64_t base_seed,
                           std::string_view scenario_name,
                           std::uint64_t point_index, std::uint32_t replicate) {
   std::uint64_t state = base_seed;
-  splitmix64_next(state);
+  splitmix64(state);
   for (const char c : scenario_name) {
     state ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    splitmix64_next(state);
+    splitmix64(state);
   }
   state ^= point_index;
-  splitmix64_next(state);
+  splitmix64(state);
   state ^= static_cast<std::uint64_t>(replicate) << 32;
-  return splitmix64_next(state);
+  return splitmix64(state);
 }
 
 std::vector<job> expand_jobs(const scenario& sc, const param_grid& grid,

@@ -1128,14 +1128,12 @@ std::vector<result_row> run_snapshot_host(const scenario_context& ctx) {
   const std::size_t max_degree = max_channel_degree(g);
   const graph::node_id hub = graph::max_degree_node(g);
 
-  // The whole read path runs on the frozen view: hub reach via the bucket
-  // queue (uniform weights, dist == BFS hops) and sampled Brandes over the
-  // flat arrays — the exact configuration the 10^5-node north star needs.
-  const graph::bucket_sssp_result hub_sssp =
-      graph::bucket_dijkstra(frozen, hub);
+  // The whole read path runs on the frozen view: hub reach by BFS and
+  // sampled Brandes over the flat arrays — the exact configuration the
+  // 10^5-node north star needs.
   std::int64_t hub_ecc = 0;
   std::size_t reachable = 0;
-  for (const std::int32_t d : hub_sssp.dist) {
+  for (const std::int32_t d : graph::bfs_distances(frozen, hub)) {
     if (d == graph::unreachable) continue;
     ++reachable;
     hub_ecc = std::max<std::int64_t>(hub_ecc, d);

@@ -15,6 +15,17 @@
 
 namespace lcg {
 
+/// One splitmix64 step (Steele, Lea & Flood): advances `state` by the
+/// golden-ratio increment and returns its mixed output. It expands rng
+/// seeds and derives the runner's per-job and the arena's per-player seeds.
+constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  state += 0x9e3779b97f4a7c15ULL;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// xoshiro256** 1.0 (Blackman & Vigna), seeded via splitmix64.
 /// Satisfies std::uniform_random_bit_generator.
 class rng {

@@ -479,17 +479,122 @@ TEST(IncrementalMode, LocalOracleBreaksBitwiseTiesByEnumerationOrder) {
   EXPECT_GT(reversed_ties, 0u);
 }
 
+/// Algorithm 1 run literally for u, the one-pass oracle the greedy oracle
+/// must match: core::greedy_fixed_lock over an objective_fn of
+/// topology::node_utility values, then the empty set (it wins at >=) and
+/// the base (a move needs a strict gain past the tolerance).
+struct literal_greedy {
+  std::vector<graph::node_id> adds;                // candidate additions
+  std::vector<std::vector<graph::node_id>> calls;  // every set, in order
+  std::vector<double> values;                      // their utilities
+  std::vector<double> prefix_values;               // step maxima
+  double empty = -std::numeric_limits<double>::infinity();
+  std::uint64_t evaluations = 1;  // the base alone
+  std::uint64_t fee_bfs = 0;      // incremental mode's fee BFS count
+  std::optional<topology::deviation> expected;
+};
+
+literal_greedy run_literal_greedy(const strategy_state& state,
+                                  graph::node_id u,
+                                  const topology::game_params& params,
+                                  const oracle_options& opts,
+                                  const std::vector<double>& scores) {
+  literal_greedy out;
+  const std::vector<graph::node_id>& own = state.owned(u);
+  (void)local_neighbourhood(state, u, scores, opts, out.adds);
+  std::vector<graph::node_id> candidates = own;
+  candidates.insert(candidates.end(), out.adds.begin(), out.adds.end());
+  if (candidates.empty()) return out;
+  // U_u with exactly the channels to `set` owned by u, on a copy of the
+  // host; additions append in `adds` order, as the evaluator's slots do.
+  const auto utility = [&](const std::vector<graph::node_id>& set) {
+    graph::digraph g = state.graph();
+    const auto in_set = [&](graph::node_id p) {
+      return std::find(set.begin(), set.end(), p) != set.end();
+    };
+    for (const graph::node_id p : own) {
+      if (!in_set(p)) {
+        g.remove_edge(g.find_edge(u, p));
+        g.remove_edge(g.find_edge(p, u));
+      }
+    }
+    for (const graph::node_id p : out.adds) {
+      if (in_set(p)) g.add_bidirectional(u, p);
+    }
+    return topology::node_utility(g, u, params).total;
+  };
+  // Record every objective call in order.
+  const core::objective_fn objective = [&](const core::strategy& st) {
+    std::vector<graph::node_id> set;
+    for (const core::action& a : st) set.push_back(a.peer);
+    out.calls.push_back(set);
+    out.values.push_back(utility(set));
+    return out.values.back();
+  };
+  const core::greedy_result rebuilt = core::greedy_fixed_lock(
+      objective, candidates, /*lock=*/0.0, opts.max_channels);
+  out.prefix_values = rebuilt.prefix_values;
+  out.calls.push_back({});
+  out.values.push_back(utility({}));
+  out.empty = out.values.back();
+  out.evaluations = rebuilt.evaluations + 2;
+  std::vector<graph::node_id> chosen;
+  double value = out.empty;
+  if (rebuilt.objective_value > value) {
+    for (const core::action& a : rebuilt.chosen) chosen.push_back(a.peer);
+    std::sort(chosen.begin(), chosen.end());
+    value = rebuilt.objective_value;
+  }
+  const double base = utility(own);
+  if (chosen != own && value > base + opts.tolerance)
+    out.expected = diff_of(u, own, chosen, base, value);
+  // The fee BFS runs until the first finite price builds the rows.
+  const auto first_finite =
+      std::find_if(out.values.begin(), out.values.end(), [](double v) {
+        return v > -std::numeric_limits<double>::infinity();
+      });
+  out.fee_bfs = static_cast<std::uint64_t>(
+      std::min(first_finite + 1, out.values.end()) - out.values.begin());
+  return out;
+}
+
+/// The greedy oracle for u, in both provider modes, must return `want`'s
+/// move bit for bit and count its evaluations and fee BFS.
+void expect_greedy_matches(const literal_greedy& want,
+                           const strategy_state& state, graph::node_id u,
+                           const topology::game_params& params,
+                           const oracle_options& opts,
+                           const std::vector<double>& scores) {
+  provider_options inc_opts;
+  inc_opts.mode = provider_mode::incremental;
+  for (const provider_options& popts : {provider_options{}, inc_opts}) {
+    SCOPED_TRACE(std::string(provider_mode_name(popts.mode)));
+    const utility_provider provider(params, popts);
+    rng stream(1);
+    const std::optional<topology::deviation> dev = propose_move(
+        oracle_kind::greedy, state, u, provider, opts, scores, stream);
+    EXPECT_EQ(provider.evaluations(), want.evaluations);
+    if (popts.mode == provider_mode::incremental) {
+      EXPECT_EQ(provider.stats().support_bfs, want.fee_bfs);
+    }
+    ASSERT_EQ(dev.has_value(), want.expected.has_value());
+    if (!dev) continue;
+    EXPECT_EQ(dev->added_peers, want.expected->added_peers);
+    EXPECT_EQ(dev->removed_peers, want.expected->removed_peers);
+    EXPECT_EQ(dev->utility_before, want.expected->utility_before);
+    EXPECT_EQ(dev->utility_after, want.expected->utility_after);
+  }
+}
+
 TEST(IncrementalMode, GreedyOracleMatchesLiteralAlgorithm1) {
   // The greedy oracle runs Algorithm 1's steps on the decide pass at base
-  // -inf. The reference is the one-pass oracle: core::greedy_fixed_lock
-  // over an objective_fn of topology::node_utility values, then the empty
-  // set (it wins at >=) and the base (a move needs a strict gain past the
-  // tolerance). Both modes must match it bit for bit and count the same
-  // logical evaluations. Each step's strict argmax picks the first
-  // enumerated of its bitwise ties; the separator prices of some tied
-  // candidates order them the other way round, so only the index rule of
-  // the decide pass picks the right one there. The incremental ledger
-  // runs one fee BFS per set priced up to the first finite one.
+  // -inf; both modes must match the literal run (literal_greedy) bit for
+  // bit and count the same logical evaluations. Each step's strict argmax
+  // picks the first enumerated of its bitwise ties; the separator prices
+  // of some tied candidates order them the other way round, so only the
+  // index rule of the decide pass picks the right one there. The
+  // incremental ledger runs one fee BFS per set priced up to the first
+  // finite one.
   const struct {
     const char* name;
     graph::digraph g;
@@ -521,72 +626,21 @@ TEST(IncrementalMode, GreedyOracleMatchesLiteralAlgorithm1) {
       topology::game_params params;
       params.l = l;
       params.s = zipf_s;
-      provider_options full_opts;
       provider_options inc_opts;
       inc_opts.mode = provider_mode::incremental;
       const strategy_state state(host.g);
-      const utility_provider scorer(params, full_opts);
+      const utility_provider scorer(params, provider_options{});
       const std::vector<double> scores = scorer.node_scores(state.graph());
       for (graph::node_id u = 0; u < state.player_count(); ++u) {
         SCOPED_TRACE("u=" + std::to_string(u));
-        const std::vector<graph::node_id>& own = state.owned(u);
-        std::vector<graph::node_id> adds;
-        (void)local_neighbourhood(state, u, scores, opts, adds);
-        std::vector<graph::node_id> candidates = own;
-        candidates.insert(candidates.end(), adds.begin(), adds.end());
-        // U_u with exactly the channels to `set` owned by u, on a copy of
-        // the host; additions append in `adds` order, as the evaluator's
-        // slots do.
-        const auto utility = [&](const std::vector<graph::node_id>& set) {
-          graph::digraph g = host.g;
-          const auto in_set = [&](graph::node_id p) {
-            return std::find(set.begin(), set.end(), p) != set.end();
-          };
-          for (const graph::node_id p : own) {
-            if (!in_set(p)) {
-              g.remove_edge(g.find_edge(u, p));
-              g.remove_edge(g.find_edge(p, u));
-            }
-          }
-          for (const graph::node_id p : adds) {
-            if (in_set(p)) g.add_bidirectional(u, p);
-          }
-          return topology::node_utility(g, u, params).total;
-        };
-        // The one-pass reference, recording every objective call in order.
-        std::vector<std::vector<graph::node_id>> calls;
-        std::vector<double> values;
-        const core::objective_fn objective = [&](const core::strategy& st) {
-          std::vector<graph::node_id> set;
-          for (const core::action& a : st) set.push_back(a.peer);
-          calls.push_back(set);
-          values.push_back(utility(set));
-          return values.back();
-        };
-        std::uint64_t evaluations = 1;  // the base alone
-        std::optional<topology::deviation> expected;
-        if (!candidates.empty()) {
-          const core::greedy_result rebuilt = core::greedy_fixed_lock(
-              objective, candidates, /*lock=*/0.0, opts.max_channels);
-          calls.push_back({});
-          values.push_back(utility({}));
-          evaluations = rebuilt.evaluations + 2;
-          std::vector<graph::node_id> chosen;
-          double value = values.back();
-          if (rebuilt.objective_value > value) {
-            for (const core::action& a : rebuilt.chosen)
-              chosen.push_back(a.peer);
-            std::sort(chosen.begin(), chosen.end());
-            value = rebuilt.objective_value;
-          }
-          const double base = utility(own);
-          if (chosen != own && value > base + opts.tolerance)
-            expected = diff_of(u, own, chosen, base, value);
-        }
+        const literal_greedy want =
+            run_literal_greedy(state, u, params, opts, scores);
+        const auto& calls = want.calls;
+        const auto& values = want.values;
         // Bitwise ties at a step's maximum, and their separator prices.
         const utility_provider price_provider(params, inc_opts);
-        candidate_evaluator priced(price_provider, state.graph(), u, own,
-                                   adds);
+        candidate_evaluator priced(price_provider, state.graph(), u,
+                                   state.owned(u), want.adds);
         for (std::size_t a = 0; a + 1 < calls.size(); ++a) {
           std::size_t best = a;
           std::size_t b = a;
@@ -605,36 +659,9 @@ TEST(IncrementalMode, GreedyOracleMatchesLiteralAlgorithm1) {
           if (ties > 0) ++tied_steps;
           a = b - 1;
         }
-        // The fee BFS runs until the first finite price builds the rows.
-        const auto first_finite =
-            std::find_if(values.begin(), values.end(),
-                         [](double v) { return v > -inf; });
-        const std::uint64_t fee_bfs =
-            candidates.empty()
-                ? 0
-                : static_cast<std::uint64_t>(
-                      std::min(first_finite + 1, values.end()) -
-                      values.begin());
-        if (expected) ++moves;
-        if (fee_bfs > 1) ++late_rows;
-
-        for (const provider_options& popts : {full_opts, inc_opts}) {
-          SCOPED_TRACE(std::string(provider_mode_name(popts.mode)));
-          const utility_provider provider(params, popts);
-          rng stream(1);
-          const std::optional<topology::deviation> dev =
-              propose_move(oracle_kind::greedy, state, u, provider, opts,
-                           scores, stream);
-          EXPECT_EQ(provider.evaluations(), evaluations);
-          if (popts.mode == provider_mode::incremental)
-            EXPECT_EQ(provider.stats().support_bfs, fee_bfs);
-          ASSERT_EQ(dev.has_value(), expected.has_value());
-          if (!dev) continue;
-          EXPECT_EQ(dev->added_peers, expected->added_peers);
-          EXPECT_EQ(dev->removed_peers, expected->removed_peers);
-          EXPECT_EQ(dev->utility_before, expected->utility_before);
-          EXPECT_EQ(dev->utility_after, expected->utility_after);
-        }
+        if (want.expected) ++moves;
+        if (want.fee_bfs > 1) ++late_rows;
+        expect_greedy_matches(want, state, u, params, opts, scores);
       }
     }
   }
@@ -645,6 +672,79 @@ TEST(IncrementalMode, GreedyOracleMatchesLiteralAlgorithm1) {
   EXPECT_GT(reversed_ties, 0u);
   EXPECT_GT(moves, 0u);
   EXPECT_GT(late_rows, 0u);
+}
+
+TEST(IncrementalMode, GreedyOracleTieRulesBetweenPrefixesAndTheEmptySet) {
+  // Two of Algorithm 1's tie rules decide a move only when values tie bit
+  // for bit: of several best prefixes the FIRST is kept, and the empty set
+  // wins when it ties the rebuilt value. With s = 0 over four receivers
+  // every p_trans entry is exactly 1/4, and with a, b and l dyadic each
+  // utility is an exact dyadic sum, so these hosts tie on purpose:
+  //  - a newcomer (node 4) joining the path 0-1-2-3 at a = 1, b = 0,
+  //    l = 1/4: past its second channel every channel saves exactly its
+  //    cost, so three prefixes share the maximum;
+  //  - a newcomer joining K4 at a = l = 0: it sits on no shortest path,
+  //    so every prefix is worth exactly 0;
+  //  - u = 1 holding the counterparty channel 0-1 and owning 1-4 on the
+  //    tree 0-1, 0-2, 2-3, 0-4 at a = 1, b = 0, l = 1/2: the own channel
+  //    saves 1/4 for its cost 1/2, the best channel saves exactly its
+  //    cost, so the best prefix ties the empty set and both beat the base.
+  // Both modes must match the literal run there.
+  const auto tree = [] {
+    graph::digraph g(5);
+    g.add_bidirectional(0, 1);
+    g.add_bidirectional(1, 4);
+    g.add_bidirectional(0, 2);
+    g.add_bidirectional(2, 3);
+    g.add_bidirectional(0, 4);
+    return g;
+  };
+  const auto with_newcomer = [](graph::digraph g) {
+    g.add_node();
+    return g;
+  };
+  const struct {
+    const char* name;
+    graph::digraph g;
+    double a, b, l;
+  } hosts[] = {
+      {"path4+newcomer", with_newcomer(graph::path_graph(4)), 1.0, 0.0, 0.25},
+      {"k4+newcomer", with_newcomer(graph::complete_graph(4)), 0.0, 1.0, 0.0},
+      {"tree5", tree(), 1.0, 0.0, 0.5},
+  };
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  oracle_options opts;
+  opts.candidate_k = 16;
+  opts.candidate_random = 0;
+  std::size_t prefix_ties = 0;  // a later best prefix decides the move
+  std::size_t empty_ties = 0;   // the tied empty set decides the move
+  for (const auto& host : hosts) {
+    SCOPED_TRACE(host.name);
+    topology::game_params params;
+    params.a = host.a;
+    params.b = host.b;
+    params.l = host.l;
+    params.s = 0.0;
+    const strategy_state state(host.g);
+    const utility_provider scorer(params, provider_options{});
+    const std::vector<double> scores = scorer.node_scores(state.graph());
+    for (graph::node_id u = 0; u < state.player_count(); ++u) {
+      SCOPED_TRACE("u=" + std::to_string(u));
+      const literal_greedy want =
+          run_literal_greedy(state, u, params, opts, scores);
+      const auto& steps = want.prefix_values;
+      const auto best = std::max_element(steps.begin(), steps.end());
+      if (want.expected && best != steps.end() && *best > want.empty &&
+          std::find(best + 1, steps.end(), *best) != steps.end())
+        ++prefix_ties;
+      if (want.expected && !state.owned(u).empty() && want.empty > -inf &&
+          best != steps.end() && *best == want.empty)
+        ++empty_ties;
+      expect_greedy_matches(want, state, u, params, opts, scores);
+    }
+  }
+  EXPECT_GT(prefix_ties, 0u);
+  EXPECT_GT(empty_ties, 0u);
 }
 
 TEST(IncrementalMode, FeesFromSeparatorRowsMatchTheBfs) {

@@ -12,6 +12,8 @@
 //                                                (the rescaled error bound)
 //   5. E[sampled] == exact                       (unbiasedness, seed-averaged)
 //   6. node_betweenness_of consistent with the full sweep across backends
+//   7. the one BFS body: digraph, csr_graph and separator-row sweeps agree
+//                                                (BITWISE, every source)
 //
 // plus the documented invariants: zero-weight pairs add exactly 0.0 (never
 // -0.0/NaN), unreachable pairs contribute nothing, inactive edge slots stay
@@ -770,6 +772,93 @@ TEST(BetweennessCsr, RefrozenViewMatchesNaiveAcrossToggleSequences) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// One BFS body: every hop-count sweep of graph/traversal.h runs the same
+// loop over either representation, so on every corpus graph, and on views
+// with edges removed (a random quarter of the slots, and every edge of one
+// node u: the G - u the arena's separator sweeps), all of them must agree
+// bit for bit from every source, the separator rows from cold and from
+// warm buffers alike.
+// ---------------------------------------------------------------------------
+
+TEST(BfsBody, RepresentationsAndSeparatorRowsAgreeBitwise) {
+  std::size_t views = 0, unreachable_seen = 0, multi_path_seen = 0;
+  // One warm pair of rows and FIFO, re-filled across sources, views and
+  // node counts; they start out holding garbage.
+  std::vector<std::int32_t> warm_dist(3, 7);
+  std::vector<double> warm_sigma(3, std::nan(""));
+  std::vector<node_id> warm_order{2, 0, 1};
+  for (const corpus_case& c : build_corpus()) {
+    const std::size_t n = c.g.node_count();
+    digraph thinned = c.g;
+    rng gen(0xbf5 + n);
+    for (edge_id e = 0; e < thinned.edge_slots(); ++e)
+      if (thinned.edge_active(e) && gen.bernoulli(0.25)) thinned.remove_edge(e);
+    digraph minus_u = c.g;
+    const node_id u = static_cast<node_id>(n / 2);
+    std::vector<edge_id> cut;
+    minus_u.for_each_out(u, [&](edge_id e, const edge&) { cut.push_back(e); });
+    minus_u.for_each_in(u, [&](edge_id e, const edge&) { cut.push_back(e); });
+    for (const edge_id e : cut) minus_u.remove_edge(e);
+
+    for (const auto& [label, g] :
+         {std::pair<const char*, const digraph&>{"whole", c.g},
+          {"thinned", thinned},
+          {"minus u", minus_u}}) {
+      const std::string ctx = c.name + " " + label;
+      const csr_graph view = freeze(g);
+      warm_dist.resize(n);
+      warm_sigma.resize(n);
+      for (node_id s = 0; s < n; ++s) {
+        const sp_dag want = shortest_path_dag(g, s);
+        const sp_dag got = shortest_path_dag(view, s);
+        EXPECT_EQ(bfs_distances(g, s), want.dist) << ctx << " s=" << s;
+        EXPECT_EQ(bfs_distances(view, s), want.dist) << ctx << " s=" << s;
+        EXPECT_EQ(got.dist, want.dist) << ctx << " s=" << s;
+        EXPECT_EQ(got.order, want.order) << ctx << " s=" << s;
+        ASSERT_EQ(got.pred.size(), want.pred.size()) << ctx;
+        for (node_id v = 0; v < n; ++v) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.sigma[v]),
+                    std::bit_cast<std::uint64_t>(want.sigma[v]))
+              << ctx << " s=" << s << " v=" << v;
+          std::vector<edge_id> mapped;
+          for (const csr_graph::packed_id k : got.pred[v])
+            mapped.push_back(view.edge_slot(k));
+          EXPECT_EQ(mapped, std::vector<edge_id>(want.pred[v].begin(),
+                                                 want.pred[v].end()))
+              << ctx << " s=" << s << " v=" << v;
+          if (want.dist[v] == unreachable) ++unreachable_seen;
+          if (want.sigma[v] > 1.0) ++multi_path_seen;
+        }
+
+        // The separator rows: cold, freshly allocated buffers and the
+        // warm ones must both come out as the DAG's dist and sigma.
+        std::vector<std::int32_t> cold_dist(n);
+        std::vector<double> cold_sigma(n);
+        std::vector<node_id> cold_order;
+        shortest_path_counts(view, s, cold_dist, cold_sigma, cold_order);
+        shortest_path_counts(view, s, warm_dist, warm_sigma, warm_order);
+        EXPECT_EQ(cold_dist, want.dist) << ctx << " s=" << s;
+        EXPECT_EQ(warm_dist, want.dist) << ctx << " s=" << s;
+        EXPECT_EQ(cold_order, want.order) << ctx << " s=" << s;
+        EXPECT_EQ(warm_order, want.order) << ctx << " s=" << s;
+        for (node_id v = 0; v < n; ++v) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(cold_sigma[v]),
+                    std::bit_cast<std::uint64_t>(want.sigma[v]))
+              << ctx << " s=" << s << " v=" << v;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(warm_sigma[v]),
+                    std::bit_cast<std::uint64_t>(want.sigma[v]))
+              << ctx << " s=" << s << " v=" << v;
+        }
+      }
+      ++views;
+    }
+  }
+  EXPECT_GE(views, 150u);
+  EXPECT_GT(unreachable_seen, 0u);
+  EXPECT_GT(multi_path_seen, 0u);
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // graph/csr.h: the frozen flat view's structural contract — per-node rows
 // and capacities, edge cases (empty, single node, multi-component, inactive
 // slots), the iteration-order pin that every bitwise-equivalence guarantee
-// rests on, and the flat traversal kernels (BFS, shortest-path DAG, bucket
-// Dijkstra) against their adjacency-list references. The Brandes engine
-// sweeps only frozen views; its corpus-wide checks live in
-// graph_betweenness_property_test.cpp.
+// rests on, and BFS and the shortest-path DAG over the view against the
+// adjacency-list results. The Brandes engine sweeps only frozen views; its
+// corpus-wide checks live in graph_betweenness_property_test.cpp.
 
 #include "graph/csr.h"
 
@@ -13,7 +12,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "graph/dijkstra.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
 #include "util/error.h"
@@ -177,53 +175,6 @@ TEST(GraphCsr, ShortestPathDagMatchesDigraphBitwise) {
         EXPECT_EQ(c.edge_slot(got.pred[v][i]), want.pred[v][i]);
     }
   }
-}
-
-TEST(GraphCsr, BucketDijkstraUniformEqualsBfs) {
-  rng gen(23);
-  const digraph g = barabasi_albert(80, 2, gen, 1.0);
-  const csr_graph c = freeze(g);
-  for (node_id s = 0; s < g.node_count(); s += 13) {
-    const bucket_sssp_result got = bucket_dijkstra(c, s);
-    EXPECT_EQ(got.dist, bfs_distances(c, s)) << "source " << s;
-    EXPECT_EQ(got.parent[s], csr_graph::npos);
-  }
-}
-
-TEST(GraphCsr, BucketDijkstraMatchesBinaryHeapOnIntegerWeights) {
-  rng gen(29);
-  const digraph g = erdos_renyi(50, 0.2, gen, 1.0);
-  const csr_graph c = freeze(g);
-  // Deterministic small integer weights per packed edge.
-  std::vector<std::uint32_t> weight(c.edge_count());
-  for (std::size_t k = 0; k < weight.size(); ++k)
-    weight[k] = 1 + static_cast<std::uint32_t>((k * 7 + 3) % 9);
-  // The binary-heap reference keys weights by ORIGINAL edge id.
-  std::vector<double> by_slot(g.edge_slots(), 0.0);
-  for (csr_graph::packed_id k = 0; k < c.edge_count(); ++k)
-    by_slot[c.edge_slot(k)] = static_cast<double>(weight[k]);
-  const edge_weight_fn w = [&](edge_id e, const edge&) { return by_slot[e]; };
-
-  for (node_id s = 0; s < g.node_count(); s += 11) {
-    const bucket_sssp_result got = bucket_dijkstra(c, s, weight);
-    const dijkstra_result want = dijkstra(g, s, w);
-    for (node_id v = 0; v < g.node_count(); ++v) {
-      if (want.cost[v] == unreachable_cost) {
-        EXPECT_EQ(got.dist[v], unreachable) << "node " << v;
-      } else {
-        EXPECT_EQ(static_cast<double>(got.dist[v]), want.cost[v])
-            << "node " << v;
-      }
-    }
-  }
-}
-
-TEST(GraphCsr, BucketDijkstraRejectsZeroWeights) {
-  digraph g(2);
-  g.add_edge(0, 1, 1.0);
-  const csr_graph c = freeze(g);
-  EXPECT_THROW(bucket_dijkstra(c, 0, {0u}), precondition_error);
-  EXPECT_THROW(bucket_dijkstra(c, 0, {1u, 2u}), precondition_error);  // size
 }
 
 }  // namespace

@@ -134,14 +134,6 @@ TEST(SpDag, ReusedBuffersEqualFreshSweeps) {
   }
 }
 
-TEST(AllPairs, MatchesSingleSource) {
-  const digraph g = cycle_graph(6);
-  const auto all = all_pairs_distances(g);
-  for (node_id s = 0; s < 6; ++s) {
-    EXPECT_EQ(all[s], bfs_distances(g, s));
-  }
-}
-
 TEST(ShortestPath, ReconstructsValidPath) {
   const digraph g = grid_graph(3, 3);
   const auto path = shortest_path(g, 0, 8);
