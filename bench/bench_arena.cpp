@@ -12,7 +12,8 @@
 //     "rounds":..., "moves":..., "evaluations":..., "effective_sweeps":...,
 //     "pruned_candidates":..., "sweep_reduction":..., "converged":1,
 //     "joins":0, "leaves":0, "conservation_gap":0,
-//     "final_shape":"other", "obs":{"arena/sweep_full":..., ...},
+//     "final_shape":"other", "provider_threads":1,
+//     "obs":{"arena/sweep_full":..., ...},
 //     "wall_ms":..., "evals_per_ms":...}, ...]
 //
 // The "obs" object mirrors the run's sweep ledger under the runtime
@@ -37,12 +38,15 @@
 // (`pruned`; greedy and local oracles alike).
 // `effective_sweeps` counts single-source DAG constructions (the metric the
 // incremental mode exists to cut); `sweep_reduction` on incremental records
-// is full/incremental for the same configuration.
+// is full/incremental for the same configuration. `provider_threads` is
+// the provider's lane count (--threads); every field but the wall times is
+// the same at any lane count.
 //
 // The bench_artifacts ctest runs --smoke and pins the record keys of its
 // output and of the committed BENCH_arena.json.
 //
 //   bench_arena [--smoke] [--json PATH] [--sizes n1,n2,...] [--repeat R]
+//               [--threads T]
 
 #include <fstream>
 #include <iostream>
@@ -90,12 +94,14 @@ struct bench_record {
   double sweep_reduction = 1.0;
   bool converged = false;
   std::string final_shape;
+  std::size_t provider_threads = 1;
   double wall_ms = 0.0;
 };
 
 struct bench_config {
   std::vector<std::size_t> sizes{60, 120, 240};
   std::size_t repeat = 1;
+  std::size_t threads = 1;
   std::string json_path = "BENCH_arena.json";
 };
 
@@ -126,6 +132,7 @@ void write_json(const std::string& path,
        << ", \"joins\": " << r.joins << ", \"leaves\": " << r.leaves
        << ", \"conservation_gap\": " << r.conservation_gap
        << ", \"final_shape\": \"" << r.final_shape << "\""
+       << ", \"provider_threads\": " << r.provider_threads
        << ", \"host_hw_threads\": " << hardware
        << ", \"obs\": {\"arena/sweep_full\": " << r.sweeps.full_sweeps
        << ", \"arena/build_forest\": " << r.sweeps.forest
@@ -199,7 +206,7 @@ int run(const bench_config& config) {
   params.l = 1.5;
 
   // The shared restricted-greedy configuration of every family.
-  const auto base_options = [] {
+  const auto base_options = [&config] {
     arena::arena_options options;
     options.oracle = arena::oracle_kind::greedy;
     options.order = arena::activation_order::round_robin;
@@ -211,6 +218,7 @@ int run(const bench_config& config) {
     options.provider.exact_threshold = 96;
     options.provider.pivots = 16;
     options.provider.seed = 42;
+    options.provider.threads = config.threads;
     return options;
   };
 
@@ -253,6 +261,7 @@ int run(const bench_config& config) {
       rec.conservation_gap = result.ledger.conservation_gap();
       rec.final_shape =
           topology::classify_topology(result.base.state.graph());
+      rec.provider_threads = popts.base.provider.threads;
       rec.wall_ms = best_ms;
       if (mode == arena::provider_mode::incremental &&
           rec.effective_sweeps > 0) {
@@ -340,7 +349,8 @@ int run(const bench_config& config) {
   }
 
   std::cout << "Arena best-response dynamics at n >> 8 (ws hosts, l=1.5; "
-            << "exact provider <= 96 nodes, 16-pivot sampled above;\n"
+            << "exact provider <= 96 nodes, 16-pivot sampled above, "
+            << config.threads << " provider lane(s);\n"
             << "each configuration in both provider modes, "
             << "equality enforced)\n";
   t.print(std::cout);
@@ -368,9 +378,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--repeat") {
       config.repeat = bench::parse_count(
           binary, arg, bench::flag_value(binary, argc, argv, i));
+    } else if (arg == "--threads") {
+      config.threads = bench::parse_count(
+          binary, arg, bench::flag_value(binary, argc, argv, i));
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: bench_arena [--smoke] [--json PATH] "
-                   "[--sizes n1,n2,...] [--repeat R]\n";
+                   "[--sizes n1,n2,...] [--repeat R] [--threads T]\n";
       return 0;
     } else {
       bench::usage_error(binary, "unknown argument '" + arg + "'");

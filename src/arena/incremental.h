@@ -4,7 +4,7 @@
 // activation's base graph. candidate_evaluator prices each one by u's
 // Brandes dependency delta_s(u) alone, over the source plan of
 // graph::betweenness_source_plan, in ascending source order. Weight rows
-// come from one dist::sender_rows per evaluation, whose in-degrees are the
+// come from one dist::sender_rows per lane, whose in-degrees are the
 // resting graph's patched by the toggled channels.
 //
 // The EXACT PHASE is the same code in both provider modes: one freeze of
@@ -34,8 +34,10 @@
 #define LCG_ARENA_INCREMENTAL_H
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "arena/provider.h"
@@ -52,6 +54,53 @@ namespace lcg::arena {
   return 1e-6 + 1e-9 * std::abs(value);
 }
 
+/// One lane's state in a candidate_evaluator (DESIGN.md §8.6): a copy of
+/// the activation's work graph with its degree state and p_trans rows, and
+/// the scratch one set's price or one exact sweep touches. Lane 0 is the
+/// calling thread's; the others copy its resting state before the first
+/// price they run in an activation. A lane's rows are assigned each
+/// resting degree state, so their tie-block tables keep their buffers.
+struct evaluator_lane {
+  explicit evaluator_lane(dist::sender_rows rows) : rows(std::move(rows)) {}
+
+  graph::digraph work;                 // resting state between prices
+  dist::sender_rows rows;              // p_trans rows of `work`
+  std::vector<double> row_buf;         // row i at [i * n, (i + 1) * n); u's last
+  std::vector<std::size_t> removed;    // open candidate's own slots switched off
+  std::vector<std::size_t> added;      // open candidate's add slots switched on
+  double fees = 0.0;                   // E_fees of the open candidate
+  double cost = 0.0;                   // its channel cost
+  std::vector<std::int32_t> fee_dist;  // fee BFS row
+  std::vector<graph::node_id> order;   // BFS FIFO
+  graph::cone_scratch cone;            // sweep_dependency scratch
+  // The open candidate's active in-edges' tails, the rows of its active
+  // out-edges' heads, and d(u, t) and sigma(u, t) over them.
+  std::vector<graph::node_id> in;
+  std::vector<std::size_t> out;
+  std::vector<std::int32_t> dist_ut;
+  std::vector<double> sigma_ut;
+  sweep_stats stats;  // added to the provider's ledger after each call
+};
+
+/// candidate_evaluator's buffers, which the provider keeps between
+/// activations (utility_provider::spare_scratch): one lane per lane of the
+/// provider's pool, and the separator's G - u rows (DESIGN.md §8.1).
+struct evaluator_scratch {
+  std::vector<evaluator_lane> lanes;  // lanes[0] is the calling thread's
+  const std::vector<char>* active = nullptr;  // the lanes' rows' active mask
+  std::vector<std::size_t> in_degrees;        // of the resting graph
+  // Row r at [r * n, (r + 1) * n). Rows [0, |plan|) are the plan sources
+  // in plan order; the other roots — peers and the heads of u's out-edges
+  // outside the slot table (counterparty-owned channels, which every
+  // candidate keeps) — share a source's row or get one of their own.
+  std::vector<std::int32_t> dist;
+  std::vector<double> sigma;
+  std::vector<std::size_t> peer_row;     // row of peers_[slot]
+  std::vector<std::size_t> fixed_rows;   // rows of the fixed out-edge heads
+  std::vector<graph::node_id> fixed_in;  // tails of u's fixed in-edges
+  std::vector<double> dependency;        // exact phase: delta_s(u) per source
+};
+
 /// Per-activation evaluation session for one player's candidate own-sets.
 ///
 /// The scratch graph holds u's existing own channels (active — the RESTING
@@ -60,6 +109,11 @@ namespace lcg::arena {
 /// base configuration around each evaluation. Construction cost is
 /// O(|own| + |adds|) slots plus the source plan; no sweep happens until the
 /// first evaluation.
+///
+/// Three regions of an activation run on the provider's lanes (DESIGN.md
+/// §8.6): the G - u sweeps, the separator prices of price_all, and each
+/// exact phase's plan sources. Every result is bitwise the same at every
+/// lane count.
 class candidate_evaluator {
  public:
   /// `own` = u's current own peers (sorted), `adds` = candidate new peers
@@ -71,7 +125,10 @@ class candidate_evaluator {
                       const graph::digraph& base, graph::node_id u,
                       const std::vector<graph::node_id>& own,
                       const std::vector<graph::node_id>& adds);
+  /// Hands the scratch back to the provider for the next activation.
   ~candidate_evaluator();
+  candidate_evaluator(const candidate_evaluator&) = delete;
+  candidate_evaluator& operator=(const candidate_evaluator&) = delete;
 
   /// U_u(base) — bitwise equal to topology::node_utility(base, u).total
   /// under the exact backend, in both modes: the exact phase on the
@@ -89,6 +146,12 @@ class candidate_evaluator {
   /// G - u sweeps are built by the first set priced with finite fees.
   /// Counts one logical provider evaluation.
   [[nodiscard]] double price(const std::vector<graph::node_id>& set);
+  /// prices[i] = price(sets[i]) for every set, bitwise. The calling thread
+  /// prices the sets up to the one that builds the G - u sweeps (every set
+  /// in full mode, whose exact phases run on the lanes); the rest are
+  /// priced on the lanes, one set per index.
+  void price_all(const std::vector<std::vector<graph::node_id>>& sets,
+                 std::vector<double>& prices);
   /// Whether price returns exact values (full mode); in incremental mode
   /// candidates are priced by the separator.
   [[nodiscard]] bool prices_are_exact() const noexcept;
@@ -102,56 +165,68 @@ class candidate_evaluator {
   [[nodiscard]] double fees(const std::vector<graph::node_id>& set);
 
  private:
-  struct separator;  // G - u sweeps and per-candidate scratch
-
-  /// Sets removed_ and added_ to `set`'s toggles against the resting state.
-  void select(const std::vector<graph::node_id>& set);
-  /// Flips the candidate's toggled channels (removed_ and added_) on or
-  /// back off, patching rows_' in-degrees to match.
-  void flip(bool on);
-  /// select(set), flip on, and price fees_ and cost_; fills the plan rows
-  /// when E_fees is finite and returns false when it is not (the total is
-  /// then -inf). The caller flips back off.
-  bool open(const std::vector<graph::node_id>& set);
-  /// b * betweenness - fees_ - cost_ for the open candidate.
-  [[nodiscard]] double total(double betweenness) const;
+  /// The calling thread's lane: it holds the activation's resting graph.
+  [[nodiscard]] evaluator_lane& caller() noexcept {
+    return scratch_->lanes[0];
+  }
+  /// Sets the lane's removed and added to `set`'s toggles against the
+  /// resting state.
+  void select(evaluator_lane& lane, const std::vector<graph::node_id>& set);
+  /// Flips the lane's toggled channels (removed and added) on or back off,
+  /// patching its rows' in-degrees to match.
+  void flip(evaluator_lane& lane, bool on);
+  /// select(set), flip on, and price the lane's fees and cost; fills the
+  /// plan rows when E_fees is finite and returns false when it is not (the
+  /// total is then -inf). The caller flips back off.
+  bool open(evaluator_lane& lane, const std::vector<graph::node_id>& set);
+  /// b * betweenness - fees - cost for the lane's open candidate.
+  [[nodiscard]] double total(const evaluator_lane& lane,
+                             double betweenness) const;
+  /// The incremental-mode price of `set` on `lane`, uncounted. Only the
+  /// calling thread's lane may build the G - u sweeps.
+  [[nodiscard]] double separator_price(evaluator_lane& lane,
+                                       const std::vector<graph::node_id>& set);
   /// Sweeps G - u once from each distinct node among the plan sources and
-  /// every out-neighbour u can have; counted as forest sweeps.
+  /// every out-neighbour u can have, on the lanes; counted as forest
+  /// sweeps.
   void build_separator();
-  /// d(u, t) and sigma(u, t) of the flipped candidate, over its active
-  /// out-edges, from the G - u rows.
-  void fold_out();
-  /// Sum over the plan of scale * delta_s(u) for the open candidate, by
-  /// the separator identity (after open, which folded d(u, t)).
-  [[nodiscard]] double separator_betweenness();
-  /// The same sum from the exact phase: one freeze of the work graph's
-  /// current state and one sweep_dependency per plan source, merged in
-  /// ascending order (after fill_rows).
+  /// d(u, t) and sigma(u, t) of the lane's flipped candidate, over its
+  /// active out-edges, from the G - u rows.
+  void fold_out(evaluator_lane& lane);
+  /// Sum over the plan of scale * delta_s(u) for the lane's open
+  /// candidate, by the separator identity (after open, which folded
+  /// d(u, t)).
+  [[nodiscard]] double separator_betweenness(evaluator_lane& lane);
+  /// The same sum from the exact phase of the calling thread's open
+  /// candidate: one freeze of its work graph and one sweep_dependency per
+  /// plan source on the lanes, merged in ascending order (after
+  /// fill_rows).
   [[nodiscard]] double exact_betweenness();
-  /// E_fees of u in the work graph's current state; writes u's p_trans
-  /// row into the last row slot.
-  double expected_fees();
-  /// The p_trans rows of every plan source in the work graph's current
-  /// state, in one dist::sender_rows::rows batch.
-  void fill_rows();
-  /// Plan source i's p_trans row (after fill_rows).
-  [[nodiscard]] std::span<const double> row(std::size_t i) const;
+  /// E_fees of u in the lane's work graph; writes u's p_trans row into the
+  /// lane's last row slot.
+  double expected_fees(evaluator_lane& lane);
+  /// The p_trans rows of every plan source in the lane's work graph, in
+  /// one dist::sender_rows::rows batch.
+  void fill_rows(evaluator_lane& lane);
+  /// Plan source i's p_trans row in the lane (after fill_rows).
+  [[nodiscard]] std::span<const double> row(const evaluator_lane& lane,
+                                            std::size_t i) const;
+  /// Copies the calling thread's resting state into the other lanes, once
+  /// per activation.
+  void sync_lanes();
+  /// Adds every lane's ledger into the provider's and clears it.
+  void merge_ledgers();
 
   const utility_provider& provider_;
-  graph::digraph work_;
   graph::node_id u_;
+  std::size_t n_;                      // node count
   std::size_t own_count_;              // peers_[0, own_count_) rest active
   std::vector<graph::node_id> peers_;  // own + adds, slot-table order
   std::vector<std::pair<graph::edge_id, graph::edge_id>> pairs_;
-  double fees_ = 0.0;                  // E_fees of the open candidate
-  double cost_ = 0.0;                  // its channel cost
   graph::source_plan plan_;            // sources and rescale of every sweep
-  dist::sender_rows rows_;             // p_trans rows of the work graph
-  std::vector<double> row_buf_;        // row i at [i * n, (i + 1) * n); u's last
-  std::vector<std::size_t> removed_;   // candidate's own slots switched off
-  std::vector<std::size_t> added_;     // candidate's add slots switched on
-  graph::cone_scratch cone_;           // sweep_dependency scratch
-  std::unique_ptr<separator> separator_;  // built by the first finite price
+  std::unique_ptr<evaluator_scratch> scratch_;
+  bool separated_ = false;  // the G - u rows are built
+  bool synced_ = false;     // lanes 1.. hold the resting state
 };
 
 }  // namespace lcg::arena

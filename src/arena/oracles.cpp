@@ -178,12 +178,12 @@ std::optional<topology::deviation> greedy_propose(
   const std::size_t steps = std::min(options.max_channels, unused.size());
   for (std::size_t step = 0; step < steps; ++step) {
     std::vector<std::vector<graph::node_id>> sets;
-    std::vector<double> prices;
     for (const graph::node_id peer : unused) {
       sets.push_back(prefix);
       sets.back().push_back(peer);
-      prices.push_back(evaluator.price(sets.back()));
     }
+    std::vector<double> prices;
+    evaluator.price_all(sets, prices);
     const auto [best, best_value] =
         decide(evaluator, sets, prices, -inf, options.tolerance, provider);
     if (best == sets.size()) break;
@@ -276,8 +276,7 @@ std::optional<topology::deviation> local_propose(
   candidate_evaluator evaluator(provider, state.graph(), u, own, adds);
   double base = evaluator.price(own);
   std::vector<double> prices;
-  prices.reserve(sets.size());
-  for (const auto& set : sets) prices.push_back(evaluator.price(set));
+  evaluator.price_all(sets, prices);
   // A -inf price is exact (infinite E_fees) and never wins; every other
   // separator price has its exact value within its margin (DESIGN.md §8.2).
   if (!evaluator.prices_are_exact() && base > -inf) {

@@ -1,5 +1,9 @@
 #include "arena/provider.h"
 
+#include <algorithm>
+#include <thread>
+
+#include "arena/incremental.h"
 #include "graph/csr.h"
 #include "graph/properties.h"
 #include "util/error.h"
@@ -25,10 +29,16 @@ std::string_view provider_mode_name(provider_mode mode) {
 
 utility_provider::utility_provider(topology::game_params params,
                                    provider_options options)
-    : params_(params), options_(options) {
+    : params_(params),
+      options_(options),
+      lanes_(options.threads != 0
+                 ? options.threads
+                 : std::max(1u, std::thread::hardware_concurrency())) {
   params_.validate();
   LCG_EXPECTS(options_.pivots > 0);
 }
+
+utility_provider::~utility_provider() = default;
 
 void utility_provider::set_player_params(
     std::vector<core::cost_params> per_player) {
@@ -68,7 +78,7 @@ std::vector<double> utility_provider::node_scores(
   const graph::betweenness_result bw = graph::weighted_betweenness(
       graph::freeze(g),
       [&row_of](graph::node_id s, graph::node_id t) { return row_of[s][t]; },
-      backend);
+      backend, &lanes_);
   return bw.node;
 }
 

@@ -16,8 +16,12 @@
 // The provider itself runs one computation: node_scores, the whole-graph
 // ranking sweep of the move oracles. Utilities are priced by
 // arena::candidate_evaluator (arena/incremental.h), which sweeps the same
-// source plan (graph::betweenness_source_plan) on the caller's thread and
-// reads the provider's parameters, rank-mass table and ledgers.
+// source plan (graph::betweenness_source_plan) and reads the provider's
+// parameters, rank-mass table and ledgers. Both run on the provider's one
+// lane_pool (util/lanes.h) of `threads` lanes, started with the provider:
+// node_scores' sweep, and the G - u sweeps, separator prices and exact
+// phases of every activation (DESIGN.md §8.6). Results are bitwise the
+// same at every lane count.
 //
 // p_trans rows are materialised only for the senders a sweep reads — the
 // plan sources, plus the evaluated node's own row for E_fees — through one
@@ -33,6 +37,7 @@
 #define LCG_ARENA_PROVIDER_H
 
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -40,8 +45,11 @@
 #include "dist/zipf.h"
 #include "graph/betweenness.h"
 #include "topology/game.h"
+#include "util/lanes.h"
 
 namespace lcg::arena {
+
+struct evaluator_scratch;  // arena/incremental.h
 
 /// The library-wide default for provider_options::exact_threshold — the one
 /// named constant scenarios reference instead of re-inventing magic numbers.
@@ -74,9 +82,10 @@ struct provider_options {
   std::size_t exact_threshold = default_exact_threshold;
   /// Pivot count of the sampled backend above the threshold.
   std::size_t pivots = 32;
-  /// Worker threads of node_scores' sweep (never changes results;
-  /// forwarded from scenario_context::threads()). Utility evaluations
-  /// always sweep on the calling thread.
+  /// Lanes of the provider's pool, the calling thread included (0 = the
+  /// hardware concurrency): node_scores' sweep and the G - u sweeps,
+  /// separator prices and exact phases of every activation run on them.
+  /// Never changes results; forwarded from scenario_context::threads().
   std::size_t threads = 1;
   /// Seed of the sampled backend's pivot stream (splitmix64-expanded).
   std::uint64_t seed = 0;
@@ -111,6 +120,7 @@ struct sweep_stats {
 class utility_provider {
  public:
   utility_provider(topology::game_params params, provider_options options);
+  ~utility_provider();
 
   [[nodiscard]] const topology::game_params& params() const noexcept {
     return params_;
@@ -207,6 +217,14 @@ class utility_provider {
   /// local oracle the candidates it settled).
   void count_logical_evaluation() const noexcept { ++evaluations_; }
   [[nodiscard]] sweep_stats& mutable_stats() const noexcept { return stats_; }
+  /// The lanes node_scores and candidate_evaluator run on.
+  [[nodiscard]] lane_pool& lanes() const noexcept { return lanes_; }
+  /// Where a candidate_evaluator leaves its lane scratch for the next
+  /// activation to reuse (null before the first and while one is alive).
+  [[nodiscard]] std::unique_ptr<evaluator_scratch>& spare_scratch()
+      const noexcept {
+    return spare_scratch_;
+  }
 
  private:
   topology::game_params params_;
@@ -216,6 +234,8 @@ class utility_provider {
   mutable std::uint64_t evaluations_ = 0;
   mutable sweep_stats stats_;
   mutable std::vector<double> rank_masses_;
+  mutable std::unique_ptr<evaluator_scratch> spare_scratch_;
+  mutable lane_pool lanes_;
 };
 
 }  // namespace lcg::arena

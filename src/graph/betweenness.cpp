@@ -1,16 +1,13 @@
 #include "graph/betweenness.h"
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
-#include <exception>
-#include <mutex>
 #include <thread>
 #include <utility>
 
 #include "graph/csr.h"
 #include "graph/traversal.h"
 #include "obs/registry.h"
+#include "util/lanes.h"
 #include "util/rng.h"
 
 namespace lcg::graph {
@@ -55,8 +52,8 @@ void accumulate_over_dag(const csr_graph& c, const sp_dag& dag, node_id s,
 
 /// Runs the Brandes backward accumulation for one source into `out`.
 /// `want_edges` == false skips the per-edge recording (node-only queries).
-/// `dag` is the calling thread's sweep scratch, re-filled in place so a
-/// thread's sweeps after its first allocate nothing.
+/// `dag` is the lane's sweep scratch, re-filled in place so a lane's
+/// sweeps after its first allocate nothing.
 void compute_contribution(const csr_graph& c, node_id s,
                           const pair_weight_fn& w, bool want_edges,
                           source_contribution& out, sp_dag& dag) {
@@ -92,90 +89,32 @@ std::size_t effective_threads(const betweenness_options& options,
   std::size_t threads = options.threads != 0
                             ? options.threads
                             : std::max(1u, std::thread::hardware_concurrency());
-  return std::min(std::max<std::size_t>(threads, 1), source_count);
+  return std::max<std::size_t>(std::min(threads, source_count), 1);
 }
 
 /// The engine shared by every backend: sweep the given sources (ascending)
-/// and accumulate `scale` times each contribution. With threads > 1 the
-/// sources are processed in bounded chunks — each chunk's contributions are
-/// computed concurrently, then merged in source order — so the result is
-/// bit-identical to the threads == 1 path.
+/// and accumulate `scale` times each contribution. The sources run in
+/// bounded chunks: each chunk's contributions are computed on the lanes,
+/// one slot per source, then merged by the caller in ascending source
+/// order, so the result is bit-identical at every lane count and peak
+/// memory stays at one chunk of per-source buffers. A lane's exception
+/// rethrows here (lane_pool::run) before its chunk is merged.
 void run_sweeps(const csr_graph& c, const std::vector<node_id>& sources,
-                const pair_weight_fn& w, double scale, std::size_t threads,
+                const pair_weight_fn& w, double scale, lane_pool& lanes,
                 std::vector<double>* node_acc, std::vector<double>* edge_acc) {
   const bool want_edges = edge_acc != nullptr;
-  if (threads <= 1) {
-    source_contribution contribution;
-    sp_dag dag;
-    for (const node_id s : sources) {
-      compute_contribution(c, s, w, want_edges, contribution, dag);
-      merge(contribution, scale, node_acc, edge_acc);
-    }
-    return;
+  const std::size_t chunk = lanes.lanes() == 1 ? 1 : lanes.lanes() * 8;
+  std::vector<source_contribution> slots(std::min(chunk, sources.size()));
+  std::vector<sp_dag> dags(lanes.lanes());
+  for (std::size_t begin = 0; begin < sources.size(); begin += chunk) {
+    const std::size_t end = std::min(begin + chunk, sources.size());
+    lanes.run(end - begin, [&](std::size_t lane, std::size_t i) {
+      compute_contribution(c, sources[begin + i], w, want_edges, slots[i],
+                           dags[lane]);
+    });
+    for (std::size_t i = begin; i < end; ++i)
+      merge(slots[i - begin], scale, node_acc, edge_acc);
   }
-
-  // Chunked two-phase schedule over one persistent pool: each chunk's
-  // contributions are computed concurrently, then merged by this thread in
-  // ascending source order while the workers wait at a barrier. Bounds peak
-  // memory to chunk_size per-source buffers without respawning threads per
-  // chunk. A worker exception is captured, the remaining work is skipped
-  // (workers keep the barrier cadence so nothing deadlocks), and the first
-  // exception rethrows on the caller's thread — the same observable
-  // behaviour as the serial backend.
-  const std::size_t chunk_size = threads * 8;
-  std::vector<source_contribution> slots(
-      std::min(chunk_size, sources.size()));
-  const std::size_t chunks = (sources.size() + chunk_size - 1) / chunk_size;
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::barrier sync(static_cast<std::ptrdiff_t>(threads) + 1);
-
-  const auto worker = [&]() {
-    sp_dag dag;
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-      const std::size_t begin = chunk * chunk_size;
-      const std::size_t end = std::min(begin + chunk_size, sources.size());
-      try {
-        while (!failed.load(std::memory_order_relaxed)) {
-          const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (i >= end) break;
-          compute_contribution(c, sources[i], w, want_edges,
-                               slots[i - begin], dag);
-        }
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-        failed.store(true, std::memory_order_relaxed);
-      }
-      sync.arrive_and_wait();  // chunk computed
-      sync.arrive_and_wait();  // chunk merged (and cursor reset) below
-    }
-  };
-
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-      const std::size_t begin = chunk * chunk_size;
-      const std::size_t end = std::min(begin + chunk_size, sources.size());
-      sync.arrive_and_wait();  // wait for the compute phase
-      if (!failed.load(std::memory_order_relaxed)) {
-        for (std::size_t i = begin; i < end; ++i) {
-          merge(slots[i - begin], scale, node_acc, edge_acc);
-        }
-      }
-      // Workers may have over-incremented the cursor racing past `end`;
-      // rewind it before releasing them into the next chunk.
-      cursor.store(end, std::memory_order_relaxed);
-      sync.arrive_and_wait();  // release the workers
-    }
-  }  // join
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 /// Sources and unbiased rescaling factor for one computation: the full
@@ -273,14 +212,19 @@ void count_swept_sources(betweenness_backend backend, std::size_t sources) {
 
 betweenness_result weighted_betweenness(const csr_graph& c,
                                         const pair_weight_fn& w,
-                                        const betweenness_options& options) {
+                                        const betweenness_options& options,
+                                        lane_pool* lanes) {
   betweenness_result result;
   result.node.assign(c.node_count(), 0.0);
   result.edge.assign(c.edge_slots(), 0.0);
   auto [sources, scale] = select_sources(c.node_count(), options, invalid_node);
   count_swept_sources(options.backend, sources.size());
-  run_sweeps(c, sources, w, scale, effective_threads(options, sources.size()),
-             &result.node, &result.edge);
+  if (lanes) {
+    run_sweeps(c, sources, w, scale, *lanes, &result.node, &result.edge);
+  } else {
+    lane_pool call_lanes(effective_threads(options, sources.size()));
+    run_sweeps(c, sources, w, scale, call_lanes, &result.node, &result.edge);
+  }
   return result;
 }
 
@@ -297,8 +241,8 @@ double node_betweenness_of(const csr_graph& c, node_id u,
   // the source population (and from the sampled pivot pool).
   auto [sources, scale] = select_sources(c.node_count(), options, u);
   count_swept_sources(options.backend, sources.size());
-  run_sweeps(c, sources, w, scale, effective_threads(options, sources.size()),
-             &node_acc, nullptr);
+  lane_pool lanes(effective_threads(options, sources.size()));
+  run_sweeps(c, sources, w, scale, lanes, &node_acc, nullptr);
   return node_acc[u];
 }
 

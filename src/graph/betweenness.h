@@ -44,10 +44,10 @@
 // Backends (betweenness_options::backend):
 //
 //  * serial    — the reference single-thread sweep, sources 0..n-1 in order.
-//  * parallel  — sources are partitioned across a thread pool; per-source
-//                contributions are merged into the accumulators in ascending
-//                source order, so the result is BIT-IDENTICAL to serial for
-//                any thread count.
+//  * parallel  — sources are spread over the lanes of a util/lanes.h
+//                pool; per-source contributions are merged into the
+//                accumulators in ascending source order, so the result is
+//                BIT-IDENTICAL to serial for any thread count.
 //  * sampled   — the Brandes–Pich pivot estimator: k sources drawn uniformly
 //                without replacement from a splitmix64-seeded stream
 //                (util/rng.h, the executor's seeding scheme) and rescaled by
@@ -71,6 +71,10 @@
 #include <vector>
 
 #include "graph/digraph.h"
+
+namespace lcg {
+class lane_pool;  // util/lanes.h
+}
 
 namespace lcg::graph {
 
@@ -123,9 +127,12 @@ class csr_graph;  // graph/csr.h
 /// multi-backend entry point (see the file comment for backend semantics;
 /// the default options are the exact serial reference). `edge` is indexed
 /// by ORIGINAL digraph edge id (csr_graph::edge_slot), inactive slots 0.
+/// The sweeps run on `lanes` when given — a caller that sweeps repeatedly
+/// keeps one pool, and options.threads is then ignored — and otherwise on
+/// a pool of options.threads lanes started for this call.
 [[nodiscard]] betweenness_result weighted_betweenness(
     const csr_graph& c, const pair_weight_fn& w,
-    const betweenness_options& options = {});
+    const betweenness_options& options = {}, lane_pool* lanes = nullptr);
 
 /// Unweighted betweenness (w == 1 for every ordered pair).
 [[nodiscard]] betweenness_result betweenness(const csr_graph& c);

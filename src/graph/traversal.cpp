@@ -86,6 +86,13 @@ std::vector<std::int32_t> bfs_distances(const csr_graph& c, node_id src) {
   return distances(c, src);
 }
 
+void bfs_distances(const digraph& g, node_id src, std::span<std::int32_t> dist,
+                   std::vector<node_id>& order) {
+  std::fill(dist.begin(), dist.end(), unreachable);
+  order.clear();
+  bfs(g, src, dist, order, [](node_id, node_id, auto) {});
+}
+
 double expected_hop_cost(std::span<const double> p,
                          std::span<const std::int32_t> dist,
                          std::int32_t hop_offset, double scale) {

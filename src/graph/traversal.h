@@ -38,6 +38,12 @@ inline constexpr std::int32_t unreachable = -1;
                                                       node_id src);
 [[nodiscard]] std::vector<std::int32_t> bfs_distances(const csr_graph& c,
                                                       node_id src);
+/// The same distances written in place into `dist` (g.node_count()
+/// entries, any previous contents); `order` is overwritten and serves as
+/// the FIFO, so a caller re-running BFS into warm buffers allocates
+/// nothing.
+void bfs_distances(const digraph& g, node_id src, std::span<std::int32_t> dist,
+                   std::vector<node_id>& order);
 
 /// scale * sum of p[v] * max(dist[v] - hop_offset, 0) over the v < p.size()
 /// with p[v] > 0, summed in node order; +infinity as soon as such a v is

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iterator>
 #include <limits>
@@ -19,6 +20,7 @@
 
 #include "arena/engine.h"
 #include "arena/oracles.h"
+#include "arena/population.h"
 #include "core/greedy.h"
 #include "dist/zipf.h"
 #include "graph/generators.h"
@@ -832,6 +834,113 @@ TEST(IncrementalMode, FeesFromSeparatorRowsMatchTheBfs) {
   // Both sides of the short cut are exercised.
   EXPECT_GT(infinite, 0u);
   EXPECT_GT(finite, 0u);
+}
+
+
+// --- activation lanes -----------------------------------------------------
+
+/// The bits of a double, so -0.0, +0.0 and NaN payloads all count.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(ArenaLanes, BitwiseAcrossLaneCounts) {
+  // The G - u sweeps, separator prices and exact phases run on the
+  // provider's lanes and merge per index in ascending order (DESIGN.md
+  // §8.6): every move, utility, gain, logical evaluation and sweep-ledger
+  // field must be the same bits at every lane count.
+  struct config {
+    std::string name;
+    graph::digraph start;
+    population_options options;
+  };
+  std::vector<config> configs;
+  const graph::digraph ws = make_start("ws", 24, 11);
+  for (const oracle_kind oracle : {oracle_kind::local, oracle_kind::greedy}) {
+    for (const provider_mode mode :
+         {provider_mode::full, provider_mode::incremental}) {
+      for (const activation_order order :
+           {activation_order::round_robin, activation_order::random,
+            activation_order::simultaneous}) {
+        population_options popts;
+        popts.base.oracle = oracle;
+        popts.base.order = order;
+        popts.base.max_rounds = 4;
+        popts.base.seed = 31;
+        popts.base.oracle_opts.candidate_k = 3;
+        popts.base.oracle_opts.candidate_random = 1;
+        popts.base.oracle_opts.max_channels = 3;
+        // Local runs sweep every source (the exact backend), greedy runs
+        // the sampled one.
+        popts.base.provider.exact_threshold =
+            oracle == oracle_kind::local ? 192 : 0;
+        popts.base.provider.pivots = 8;
+        popts.base.provider.seed = 77;
+        popts.base.provider.mode = mode;
+        configs.push_back({std::string(oracle_name(oracle)) + "/" +
+                               std::string(provider_mode_name(mode)) + "/" +
+                               std::string(order_name(order)),
+                           ws, popts});
+      }
+    }
+  }
+  {
+    // A churning population: spare slots join, players leave.
+    const std::size_t n = 24, initial = 16;
+    const graph::digraph core = make_start("ws", initial, 5);
+    graph::digraph start(n);
+    for (const topology::channel_pair& ch : topology::channel_pairs(core))
+      start.add_bidirectional(ch.a, ch.b);
+    population_options popts;
+    popts.base.oracle = oracle_kind::local;
+    popts.base.max_rounds = 6;
+    popts.base.seed = 3;
+    popts.base.provider.mode = provider_mode::incremental;
+    popts.initial_players = initial;
+    popts.churn = make_churn_schedule(n, initial, 3, 3, 5, 19);
+    configs.push_back({"churn", start, popts});
+  }
+
+  topology::game_params params;
+  params.l = 1.5;
+  for (config& c : configs) {
+    SCOPED_TRACE(c.name);
+    c.options.base.provider.threads = 1;
+    const population_result one = run_population(c.start, params, c.options);
+    ASSERT_FALSE(one.base.moves.empty());
+    for (const std::size_t threads : {2u, 3u, 8u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      c.options.base.provider.threads = threads;
+      const population_result many =
+          run_population(c.start, params, c.options);
+      const arena_result& a = one.base;
+      const arena_result& b = many.base;
+      EXPECT_EQ(a.outcome, b.outcome);
+      EXPECT_EQ(a.rounds, b.rounds);
+      EXPECT_EQ(a.proposals, b.proposals);
+      EXPECT_EQ(bits(a.total_gain), bits(b.total_gain));
+      EXPECT_EQ(a.evaluations, b.evaluations);
+      EXPECT_EQ(a.sweeps.full_sweeps, b.sweeps.full_sweeps);
+      EXPECT_EQ(a.sweeps.forest, b.sweeps.forest);
+      EXPECT_EQ(a.sweeps.resweeps, b.sweeps.resweeps);
+      EXPECT_EQ(a.sweeps.accumulations, b.sweeps.accumulations);
+      EXPECT_EQ(a.sweeps.support_bfs, b.sweeps.support_bfs);
+      EXPECT_EQ(a.sweeps.pruned, b.sweeps.pruned);
+      EXPECT_EQ(one.joins, many.joins);
+      EXPECT_EQ(one.leaves, many.leaves);
+      ASSERT_EQ(a.moves.size(), b.moves.size());
+      for (std::size_t i = 0; i < a.moves.size(); ++i) {
+        const topology::deviation& x = a.moves[i].dev;
+        const topology::deviation& y = b.moves[i].dev;
+        EXPECT_EQ(a.moves[i].round, b.moves[i].round) << "move " << i;
+        EXPECT_EQ(x.deviator, y.deviator) << "move " << i;
+        EXPECT_EQ(x.removed_peers, y.removed_peers) << "move " << i;
+        EXPECT_EQ(x.added_peers, y.added_peers) << "move " << i;
+        EXPECT_EQ(bits(x.utility_before), bits(y.utility_before))
+            << "move " << i;
+        EXPECT_EQ(bits(x.utility_after), bits(y.utility_after))
+            << "move " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 # Bench artifact acceptance, run as a CTest (arguments: see CMakeLists.txt).
 #
 # Each bench binary checks its own relations and exits 1 when one breaks.
-# This script runs all three with --smoke, pins the keys of every record
-# (top level and "obs") in the smoke output and in the committed
-# BENCH_*.json, checks that the smoke output covers every backend, family,
+# This script runs all three with --smoke (bench_arena on two provider
+# lanes), pins the keys of every record (top level and "obs") in the smoke
+# output and in the committed BENCH_*.json, checks that the smoke output covers every backend, family,
 # oracle and mode, that the committed BENCH_arena.json holds churn runs
 # (one at n >= 120) that converged with joins, leaves and a zero deposit gap,
 # and that every smoke arena record sharing (family, n, oracle, mode) with a
@@ -81,7 +81,7 @@ set(betweenness_cover backend)
 set(arena_keys family n channels_start topology oracle order pivots mode
     rounds moves evaluations effective_sweeps pruned_candidates
     sweep_reduction converged joins leaves conservation_gap final_shape
-    host_hw_threads obs wall_ms evals_per_ms)
+    provider_threads host_hw_threads obs wall_ms evals_per_ms)
 set(arena_obs arena/sweep_full arena/build_forest arena/resweep_source
     arena/accumulate_source arena/run_support_bfs arena/prune_candidate)
 set(arena_cover family oracle mode)
@@ -96,10 +96,14 @@ set(cover_family static hetero churn)
 set(cover_oracle greedy local)
 set(cover_mode full incremental)
 
+# The arena smoke runs its activations on two provider lanes, as the
+# committed BENCH_arena.json does.
+set(arena_flags --threads 2)
 foreach(bench betweenness arena payments)
   string(TOUPPER "BENCH_${bench}" binary)
   set(smoke "${WORK_DIR}/BENCH_${bench}.json")
-  execute_process(COMMAND "${${binary}}" --smoke --json "${smoke}"
+  execute_process(COMMAND "${${binary}}" --smoke ${${bench}_flags}
+                          --json "${smoke}"
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "bench_${bench} --smoke failed (rc=${rc}):\n${out}${err}")

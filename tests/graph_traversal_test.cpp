@@ -105,9 +105,12 @@ void expect_same_dag(const sp_dag& got, const sp_dag& want) {
 TEST(SpDag, ReusedBuffersEqualFreshSweeps) {
   // One warm sp_dag is re-filled across sources and across graphs whose
   // node count grows and shrinks, by both the digraph and the CSR overload;
-  // every fill must equal a fresh by-value sweep field for field.
+  // every fill must equal a fresh by-value sweep field for field. The
+  // in-place bfs_distances does the same with a warm row and FIFO.
   rng gen(77);
   sp_dag warm;
+  std::vector<std::int32_t> warm_dist;
+  std::vector<node_id> warm_order;
   for (const std::size_t n : {40u, 9u, 120u, 2u, 1u, 60u, 240u, 5u}) {
     digraph g = erdos_renyi(n, n > 2 ? 3.0 / static_cast<double>(n) : 0.9,
                             gen);
@@ -130,6 +133,10 @@ TEST(SpDag, ReusedBuffersEqualFreshSweeps) {
       const sp_dag fresh_csr = shortest_path_dag(c, s);
       shortest_path_dag(c, s, warm);
       expect_same_dag(warm, fresh_csr);
+
+      warm_dist.resize(n);  // keeps the previous source's distances
+      bfs_distances(g, s, warm_dist, warm_order);
+      EXPECT_EQ(warm_dist, bfs_distances(g, s)) << "n=" << n << " s=" << s;
     }
   }
 }

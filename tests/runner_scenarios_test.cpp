@@ -300,10 +300,15 @@ TEST(ScenarioCatalog, ArenaScenariosByteIdenticalAcrossJobCounts) {
   }
   ASSERT_GE(jobs.size(), 7u);
 
+  // Explicit thread budgets: 4 provider lanes per job at --jobs 1 and one
+  // at --jobs 8, whatever the host's core count (the automatic budget,
+  // hardware / jobs, is one lane on a 1-CPU host).
   run_options serial;
   serial.jobs = 1;
+  serial.threads_per_job = 4;
   run_options wide;
   wide.jobs = 8;
+  wide.threads_per_job = 1;
   const std::vector<job_result> a = run_jobs(jobs, serial);
   const std::vector<job_result> b = run_jobs(jobs, wide);
 
@@ -433,10 +438,15 @@ TEST(ScenarioCatalog, PopulationScenariosByteIdenticalAcrossJobCounts) {
   }
   ASSERT_GE(jobs.size(), 12u);
 
+  // Explicit thread budgets: 4 provider lanes per job at --jobs 1 and one
+  // at --jobs 8, whatever the host's core count (the automatic budget,
+  // hardware / jobs, is one lane on a 1-CPU host).
   run_options serial;
   serial.jobs = 1;
+  serial.threads_per_job = 4;
   run_options wide;
   wide.jobs = 8;
+  wide.threads_per_job = 1;
   const std::vector<job_result> a = run_jobs(jobs, serial);
   const std::vector<job_result> b = run_jobs(jobs, wide);
 
