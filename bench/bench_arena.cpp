@@ -33,9 +33,10 @@
 // any divergence, so the bench doubles as the mode-equivalence gate at
 // bench scale. It also exits 1 unless every pair evaluated utilities,
 // churn applied joins and leaves with a zero deposit gap (and no other
-// family churned), incremental swept less than full, and it settled at
+// family churned), incremental swept less than full, it settled at
 // least one candidate by its separator value without an exact phase
-// (`pruned`; greedy and local oracles alike).
+// (`pruned`; greedy and local oracles alike), and it ran no fee BFS
+// (incremental fees come from the G - u rows).
 // `effective_sweeps` counts single-source DAG constructions (the metric the
 // incremental mode exists to cut); `sweep_reduction` on incremental records
 // is full/incremental for the same configuration. `provider_threads` is
@@ -193,6 +194,7 @@ const char* pair_violation(const bench_record& full,
       inc.effective_sweeps >= full.effective_sweeps)
     return "incremental did not sweep less than full";
   if (inc.pruned == 0) return "the separator settled no candidate";
+  if (inc.sweeps.support_bfs != 0) return "incremental mode ran a fee BFS";
   return nullptr;
 }
 

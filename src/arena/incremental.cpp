@@ -52,9 +52,8 @@ candidate_evaluator::candidate_evaluator(
     lanes.emplace_back(
         dist::sender_rows(provider.params().basis, provider.active(), masses));
   }
-  evaluator_lane& lane = caller();
-  lane.work = base;
-  graph::digraph& work = lane.work;
+  graph::digraph& work = scratch_->work;
+  work = base;
   for (const graph::node_id peer : own) {
     const graph::edge_id forward = work.find_edge(u, peer);
     const graph::edge_id reverse = work.find_edge(peer, u);
@@ -63,6 +62,8 @@ candidate_evaluator::candidate_evaluator(
     peers_.push_back(peer);
     pairs_.emplace_back(forward, reverse);
   }
+  // Every own slot is one of u's active out-edges; the others are fixed.
+  fixed_out_ = work.out_degree(u) - own_count_;
   // Candidate additions exist as deactivated slots so that any candidate
   // set is two O(|diff|) toggles away from the resting (base) state. The
   // slots append to the adjacency lists, which is what keeps traversal of
@@ -83,18 +84,22 @@ candidate_evaluator::candidate_evaluator(
     pairs_.emplace_back(forward, forward + 1);
   }
   plan_ = graph::betweenness_source_plan(n_, provider_.backend_for(n_), u_);
-  scratch_->in_degrees = graph::in_degrees(work);
-  lane.rows.assign(scratch_->in_degrees);
-  // Every lane's buffers are sized here, on the calling thread; they keep
-  // their capacity from one activation to the next.
+  // Every lane starts at the resting mask and degree state. Its buffers are
+  // sized here, on the calling thread; they keep their capacity from one
+  // activation to the next.
+  const std::vector<std::size_t> in_degrees = graph::in_degrees(work);
   for (evaluator_lane& each : lanes) {
+    each.rows.assign(in_degrees);
+    each.on.assign(peers_.size(), 0);
+    std::fill_n(each.on.begin(), own_count_, 1);
     each.row_buf.resize((plan_.sources.size() + 1) * n_);
-    each.fee_dist.resize(n_);
     each.order.reserve(n_);
-    each.dist_ut.reserve(n_);
+    each.dist_ut.resize(n_);
     each.sigma_ut.reserve(n_);
     each.stats = {};
   }
+  if (!prices_are_exact()) build_separator();
+  merge_ledgers();
 }
 
 candidate_evaluator::~candidate_evaluator() {
@@ -108,59 +113,55 @@ std::span<const double> candidate_evaluator::row(const evaluator_lane& lane,
 
 void candidate_evaluator::select(evaluator_lane& lane,
                                  const std::vector<graph::node_id>& set) {
-  // The candidate's toggle set: channels leaving and joining u's own set.
-  lane.removed.clear();
-  lane.added.clear();
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    const bool in_set = std::find(set.begin(), set.end(), peers_[i]) !=
+  // Each channel that changes state moves the in-degree of both its ends
+  // by one.
+  for (std::size_t slot = 0; slot < peers_.size(); ++slot) {
+    const bool in_set = std::find(set.begin(), set.end(), peers_[slot]) !=
                         set.end();
-    if (i < own_count_ && !in_set) lane.removed.push_back(i);
-    if (i >= own_count_ && in_set) lane.added.push_back(i);
+    if (static_cast<bool>(lane.on[slot]) == in_set) continue;
+    lane.on[slot] = in_set;
+    lane.rows.shift(peers_[slot], in_set);
+    lane.rows.shift(u_, in_set);
+  }
+}
+
+void candidate_evaluator::flip(bool on) {
+  // Own channels rest active, candidate additions rest inactive; only the
+  // slots where the mask differs from the base flip.
+  graph::digraph& work = scratch_->work;
+  const std::vector<char>& mask = caller().on;
+  for (std::size_t slot = 0; slot < peers_.size(); ++slot) {
+    const bool selected = mask[slot];
+    if (selected == (slot < own_count_)) continue;
+    for (const graph::edge_id e : {pairs_[slot].first, pairs_[slot].second})
+      on == selected ? work.restore_edge(e) : work.remove_edge(e);
   }
 }
 
 double candidate_evaluator::expected_fees(evaluator_lane& lane) {
   const std::span<double> own(
       lane.row_buf.data() + plan_.sources.size() * n_, n_);
-  lane.rows.row(lane.work, u_, own);
-  const double a = provider_.a_of(u_);
-  if (separated_) {
+  lane.rows.row(scratch_->work, u_, own);
+  if (prices_are_exact()) {
+    // Full mode, the reference: a BFS of the calling thread's candidate.
+    flip(/*on=*/true);
+    graph::bfs_distances(scratch_->work, u_, lane.dist_ut, lane.order);
+    flip(/*on=*/false);
+    ++lane.stats.support_bfs;
+  } else {
     // d(u, t) from the G - u rows (DESIGN.md §8.1): integer hop counts, so
     // the sum is the BFS one term for term. The fold leaves d(u, u)
     // unreachable where a BFS has 0, which never counts: u's own entry of
     // its p_trans row is 0.
     fold_out(lane);
-    return graph::expected_hop_cost(own, lane.dist_ut, 1, a);
   }
-  graph::bfs_distances(lane.work, u_, lane.fee_dist, lane.order);
-  ++lane.stats.support_bfs;
-  return graph::expected_hop_cost(own, lane.fee_dist, 1, a);
+  return graph::expected_hop_cost(own, lane.dist_ut, 1, provider_.a_of(u_));
 }
 
 void candidate_evaluator::fill_rows(evaluator_lane& lane) {
   lane.rows.rows(
-      lane.work, plan_.sources,
+      scratch_->work, plan_.sources,
       std::span<double>(lane.row_buf.data(), plan_.sources.size() * n_));
-}
-
-void candidate_evaluator::flip(evaluator_lane& lane, bool on) {
-  // Own channels rest active, candidate additions rest inactive; only the
-  // symmetric difference to the base configuration flips. Each channel
-  // moves the in-degree of both its ends by one.
-  const auto set_channel = [&](std::size_t slot, bool active) {
-    const auto& [forward, reverse] = pairs_[slot];
-    if (active) {
-      lane.work.restore_edge(forward);
-      lane.work.restore_edge(reverse);
-    } else {
-      lane.work.remove_edge(forward);
-      lane.work.remove_edge(reverse);
-    }
-    lane.rows.shift(peers_[slot], active);
-    lane.rows.shift(u_, active);
-  };
-  for (const std::size_t slot : lane.removed) set_channel(slot, !on);
-  for (const std::size_t slot : lane.added) set_channel(slot, on);
 }
 
 bool candidate_evaluator::prices_are_exact() const noexcept {
@@ -169,14 +170,14 @@ bool candidate_evaluator::prices_are_exact() const noexcept {
 
 void candidate_evaluator::build_separator() {
   evaluator_scratch& x = *scratch_;
-  graph::digraph& work = caller().work;
+  graph::digraph& work = x.work;
   const auto in_slot = [&](graph::edge_id e) {
     return std::any_of(pairs_.begin(), pairs_.end(), [e](const auto& pair) {
       return pair.first == e || pair.second == e;
     });
   };
-  // One row per distinct root: a peer or head that is also a plan source
-  // (every one under the exact backend) reads the source's row.
+  // One row per distinct root, the fee roots first: a plan source that is
+  // also a peer or head (every one under the exact backend) reads its row.
   constexpr std::size_t no_row = std::numeric_limits<std::size_t>::max();
   std::vector<graph::node_id> roots;
   std::vector<std::size_t> row_of(n_, no_row);
@@ -187,10 +188,10 @@ void candidate_evaluator::build_separator() {
     }
     return row_of[v];
   };
-  for (const graph::node_id source : plan_.sources) row_for(source);
   x.peer_row.clear();
   x.fixed_rows.clear();
   x.fixed_in.clear();
+  x.source_row.clear();
   for (const graph::node_id peer : peers_) x.peer_row.push_back(row_for(peer));
   // G - u: cut u's active edges, freeze, and put them back in place.
   std::vector<graph::edge_id> cut;
@@ -205,38 +206,70 @@ void candidate_evaluator::build_separator() {
   for (const graph::edge_id e : cut) work.remove_edge(e);
   const graph::csr_graph view = graph::freeze(work);
   for (const graph::edge_id e : cut) work.restore_edge(e);
+  const std::size_t fee_roots = roots.size();
+  for (const graph::node_id source : plan_.sources)
+    x.source_row.push_back(row_for(source));
 
   // Each root's sweep writes its own row, on the lane that takes it.
   x.dist.resize(roots.size() * n_);
   x.sigma.resize(roots.size() * n_);
-  provider_.lanes().run(roots.size(), [&](std::size_t l, std::size_t r) {
-    evaluator_lane& lane = x.lanes[l];
-    graph::shortest_path_counts(view, roots[r], {x.dist.data() + r * n_, n_},
-                                {x.sigma.data() + r * n_, n_}, lane.order);
-    ++lane.stats.forest;
-  });
-  separated_ = true;
+  const auto sweep = [&](std::size_t begin, std::size_t end) {
+    provider_.lanes().run(end - begin, [&](std::size_t l, std::size_t i) {
+      evaluator_lane& lane = x.lanes[l];
+      const std::size_t r = begin + i;
+      graph::shortest_path_counts(view, roots[r],
+                                  {x.dist.data() + r * n_, n_},
+                                  {x.sigma.data() + r * n_, n_}, lane.order);
+      ++lane.stats.forest;
+    });
+  };
+  // Every set's d(u, t) folds from the fee rows. The other plan rows are
+  // read only by a set with finite fees, so they wait for the fee rows to
+  // show that one can exist.
+  sweep(0, fee_roots);
+  if (!every_fee_infinite(fee_roots)) sweep(fee_roots, roots.size());
+}
+
+bool candidate_evaluator::every_fee_infinite(std::size_t fee_roots) const {
+  // Every set's out-edges of u are among the slots and the fixed channels,
+  // so a receiver none of their heads reaches in G - u is unreachable from
+  // u whatever the set. Its fee term is infinite when its p_trans entry is
+  // positive, which holds for every active receiver in every degree state
+  // while the smallest rank mass (the n-th) is n times the least normal
+  // double: an entry is at least that mass over a total of at most n. A
+  // departed u sends nothing, so its fee is 0.
+  const std::vector<char>* active = provider_.active();
+  if ((active && !(*active)[u_]) ||
+      provider_.rank_masses(n_)[n_ - 1] <
+          std::numeric_limits<double>::min() * static_cast<double>(n_))
+    return false;
+  const std::int32_t* dist = scratch_->dist.data();
+  for (graph::node_id t = 0; t < n_; ++t) {
+    if (t == u_ || (active && !(*active)[t])) continue;
+    std::size_t r = 0;
+    while (r < fee_roots && dist[r * n_ + t] == graph::unreachable) ++r;
+    if (r == fee_roots) return true;
+  }
+  return false;
 }
 
 void candidate_evaluator::fold_out(evaluator_lane& lane) {
   const evaluator_scratch& x = *scratch_;
-  // The candidate's out-edges of u: every slot it has switched on (flip has
-  // run, so the work graph says which) plus the counterparty channels.
-  lane.out.clear();
-  for (std::size_t slot = 0; slot < peers_.size(); ++slot) {
-    if (lane.work.edge_active(pairs_[slot].first))
-      lane.out.push_back(x.peer_row[slot]);
-  }
-  lane.out.insert(lane.out.end(), x.fixed_rows.begin(), x.fixed_rows.end());
-  // d(u, t) and sigma(u, t), shared by every source.
+  // d(u, t) and sigma(u, t), shared by every source, over the candidate's
+  // out-edges of u: every slot it has switched on, then the counterparty
+  // channels.
   lane.dist_ut.assign(n_, graph::unreachable);
   lane.sigma_ut.assign(n_, 0.0);
-  for (const std::size_t r : lane.out) {
+  const auto fold_row = [&](std::size_t r) {
     const std::int32_t* dist = x.dist.data() + r * n_;
     const double* sigma = x.sigma.data() + r * n_;
     for (graph::node_id t = 0; t < n_; ++t)
       fold_hop(dist[t], sigma[t], lane.dist_ut[t], lane.sigma_ut[t]);
+  };
+  for (std::size_t slot = 0; slot < peers_.size(); ++slot) {
+    if (lane.on[slot]) fold_row(x.peer_row[slot]);
   }
+  for (const std::size_t r : x.fixed_rows) fold_row(r);
 }
 
 double candidate_evaluator::separator_betweenness(evaluator_lane& lane) {
@@ -252,17 +285,17 @@ double candidate_evaluator::separator_betweenness(evaluator_lane& lane) {
   // slot it has switched on.
   lane.in = x.fixed_in;
   for (std::size_t slot = 0; slot < peers_.size(); ++slot) {
-    if (lane.work.edge_active(pairs_[slot].first))
-      lane.in.push_back(peers_[slot]);
+    if (lane.on[slot]) lane.in.push_back(peers_[slot]);
   }
   double acc = 0.0;
   for (std::size_t i = 0; i < sources; ++i) {
+    const std::size_t r = x.source_row[i];
     std::int32_t dist_su = graph::unreachable;
     double sigma_su = 0.0;
     for (const graph::node_id p : lane.in)
-      fold_hop(dist(i)[p], sigma(i)[p], dist_su, sigma_su);
+      fold_hop(dist(r)[p], sigma(r)[p], dist_su, sigma_su);
     acc += plan_.scale * graph::separator_dependency(
-                             dist(i), sigma(i), dist_su, sigma_su,
+                             dist(r), sigma(r), dist_su, sigma_su,
                              lane.dist_ut, lane.sigma_ut, row(lane, i));
   }
   lane.stats.accumulations += sources;
@@ -271,7 +304,9 @@ double candidate_evaluator::separator_betweenness(evaluator_lane& lane) {
 
 double candidate_evaluator::exact_betweenness() {
   const evaluator_lane& open_lane = caller();
-  const graph::csr_graph view = graph::freeze(open_lane.work);
+  flip(/*on=*/true);
+  const graph::csr_graph view = graph::freeze(scratch_->work);
+  flip(/*on=*/false);
   std::vector<double>& dependency = scratch_->dependency;
   dependency.resize(plan_.sources.size());
   const bool full = prices_are_exact();
@@ -292,30 +327,20 @@ double candidate_evaluator::exact_betweenness() {
 bool candidate_evaluator::open(evaluator_lane& lane,
                                const std::vector<graph::node_id>& set) {
   select(lane, set);
-  flip(lane, /*on=*/true);
   lane.fees = expected_fees(lane);
   // total is -inf no matter what revenue is, so no row or sweep is needed.
   if (std::isinf(lane.fees)) return false;
   fill_rows(lane);
+  const auto slots_on = static_cast<std::size_t>(
+      std::count(lane.on.begin(), lane.on.end(), char{1}));
   lane.cost = provider_.l_of(u_) * provider_.params().cost_share *
-              static_cast<double>(lane.work.out_degree(u_));
+              static_cast<double>(fixed_out_ + slots_on);
   return true;
 }
 
 double candidate_evaluator::total(const evaluator_lane& lane,
                                   double betweenness) const {
   return provider_.b_of(u_) * betweenness - lane.fees - lane.cost;
-}
-
-void candidate_evaluator::sync_lanes() {
-  if (synced_) return;
-  const evaluator_lane& first = caller();
-  for (std::size_t l = 1; l < scratch_->lanes.size(); ++l) {
-    evaluator_lane& lane = scratch_->lanes[l];
-    lane.work = first.work;
-    lane.rows.assign(scratch_->in_degrees);
-  }
-  synced_ = true;
 }
 
 void candidate_evaluator::merge_ledgers() {
@@ -345,26 +370,13 @@ double candidate_evaluator::exact(const std::vector<graph::node_id>& set) {
   evaluator_lane& lane = caller();
   const double value = open(lane, set) ? total(lane, exact_betweenness())
                                        : -inf;
-  flip(lane, /*on=*/false);
   merge_ledgers();
   return value;
 }
 
 double candidate_evaluator::separator_price(
     evaluator_lane& lane, const std::vector<graph::node_id>& set) {
-  // The G - u sweeps wait for the first set with finite fees, whose fee
-  // came from the BFS (bitwise the fold's): an activation that prices only
-  // -inf sets builds none. G - u is the same whichever set is open.
-  double value = -inf;
-  if (open(lane, set)) {
-    if (!separated_) {
-      build_separator();
-      fold_out(lane);
-    }
-    value = total(lane, separator_betweenness(lane));
-  }
-  flip(lane, /*on=*/false);
-  return value;
+  return open(lane, set) ? total(lane, separator_betweenness(lane)) : -inf;
 }
 
 double candidate_evaluator::price(const std::vector<graph::node_id>& set) {
@@ -379,29 +391,22 @@ void candidate_evaluator::price_all(
     const std::vector<std::vector<graph::node_id>>& sets,
     std::vector<double>& prices) {
   prices.resize(sets.size());
-  std::size_t first = 0;
-  for (; first < sets.size() && (prices_are_exact() || !separated_); ++first)
-    prices[first] = price(sets[first]);
-  if (first == sets.size()) return;
-  // The G - u rows exist, so no set left runs a fee BFS or builds them:
-  // each lane prices its sets on its own copy of the resting graph.
-  sync_lanes();
-  for (std::size_t i = first; i < sets.size(); ++i)
+  if (prices_are_exact()) {
+    for (std::size_t i = 0; i < sets.size(); ++i) prices[i] = price(sets[i]);
+    return;
+  }
+  for (std::size_t i = 0; i < sets.size(); ++i)
     provider_.count_logical_evaluation();
-  provider_.lanes().run(sets.size() - first,
-                        [&](std::size_t l, std::size_t i) {
-                          prices[first + i] = separator_price(
-                              scratch_->lanes[l], sets[first + i]);
-                        });
+  provider_.lanes().run(sets.size(), [&](std::size_t l, std::size_t i) {
+    prices[i] = separator_price(scratch_->lanes[l], sets[i]);
+  });
   merge_ledgers();
 }
 
 double candidate_evaluator::fees(const std::vector<graph::node_id>& set) {
   evaluator_lane& lane = caller();
   select(lane, set);
-  flip(lane, /*on=*/true);
   const double value = expected_fees(lane);
-  flip(lane, /*on=*/false);
   merge_ledgers();
   return value;
 }

@@ -213,10 +213,9 @@ std::optional<topology::deviation> greedy_propose(
   }
   // The base comes last. Rebuilding the own set, or reaching no finite
   // value, is no move whatever the base is worth: it only counts its
-  // evaluation. Otherwise the G - u sweeps exist (a finite value was
-  // priced), the base's price bounds its exact value from below, and a
-  // `value` that cannot beat that bound plus the tolerance settles the
-  // activation without the base's exact phase.
+  // evaluation. Otherwise the base's price bounds its exact value from
+  // below, and a `value` that cannot beat that bound plus the tolerance
+  // settles the activation without the base's exact phase.
   if (chosen == own || value == -inf) {
     provider.count_logical_evaluation();
     return std::nullopt;

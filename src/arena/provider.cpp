@@ -36,6 +36,12 @@ utility_provider::utility_provider(topology::game_params params,
                  : std::max(1u, std::thread::hardware_concurrency())) {
   params_.validate();
   LCG_EXPECTS(options_.pivots > 0);
+  // Lanes price p_trans rows from a degree state and a slot mask alone,
+  // which holds only when a sender's own channels stay in the ranking.
+  if (params_.basis != dist::rank_basis::keep_sender_edges)
+    throw precondition_error(
+        "utility_provider: rank basis drop_sender_edges is not supported "
+        "(the arena prices p_trans rows under keep_sender_edges)");
 }
 
 utility_provider::~utility_provider() = default;

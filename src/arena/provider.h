@@ -28,10 +28,11 @@
 // dist::sender_rows per degree state, which shares the in-degree histogram
 // and the tie-block tables across rows. The sampled backend therefore
 // builds k + 1 rows, so at 10^3+ nodes the O(n^2) probability matrix of
-// topology::node_utility never needs to exist. With the exact
-// backend a utility is BIT-IDENTICAL to topology::node_utility for the
-// keep_sender_edges ranking basis (tests pin this); the sampled backend
-// trades exactness for scale, deterministically under the fixed seed.
+// topology::node_utility never needs to exist. The provider takes only the
+// keep_sender_edges ranking basis, under which a row depends on the degree
+// state alone; with the exact backend a utility is BIT-IDENTICAL to
+// topology::node_utility (tests pin this). The sampled backend trades
+// exactness for scale, deterministically under the fixed seed.
 
 #ifndef LCG_ARENA_PROVIDER_H
 #define LCG_ARENA_PROVIDER_H
@@ -104,9 +105,8 @@ struct sweep_stats {
   std::uint64_t forest = 0;          ///< G - u sweeps of the separator
   std::uint64_t resweeps = 0;        ///< incremental-mode exact sweeps
   std::uint64_t accumulations = 0;   ///< sources priced by the separator
-  /// Fee BFS runs: every full-mode evaluation; in incremental mode one per
-  /// set priced up to the activation's first finite one, which builds the
-  /// G - u sweeps.
+  /// Fee BFS runs: one per full-mode evaluation. Incremental mode runs
+  /// none; its fees come from the G - u sweeps.
   std::uint64_t support_bfs = 0;
   /// Candidates a decide pass, an idle local activation or greedy's empty
   /// set settled without an exact phase (incremental mode only; -inf
@@ -119,6 +119,7 @@ struct sweep_stats {
 
 class utility_provider {
  public:
+  /// Throws precondition_error unless params.basis is keep_sender_edges.
   utility_provider(topology::game_params params, provider_options options);
   ~utility_provider();
 

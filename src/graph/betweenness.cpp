@@ -117,39 +117,6 @@ void run_sweeps(const csr_graph& c, const std::vector<node_id>& sources,
   }
 }
 
-/// Sources and unbiased rescaling factor for one computation: the full
-/// ascending id range for exact backends, a sorted pivot sample for the
-/// sampled backend. `skip` (if valid) is excluded from the population.
-std::pair<std::vector<node_id>, double> select_sources(
-    std::size_t n, const betweenness_options& options, node_id skip) {
-  std::vector<node_id> population;
-  population.reserve(n);
-  for (node_id s = 0; s < n; ++s) {
-    if (s != skip) population.push_back(s);
-  }
-  const std::size_t k = options.sample_pivots;
-  if (options.backend != betweenness_backend::sampled || k == 0 ||
-      k >= population.size()) {
-    return {std::move(population), 1.0};
-  }
-  // Partial Fisher–Yates over the population, then sort so that merging
-  // happens in ascending source order (and k == |population| would be the
-  // identity permutation, i.e. exact).
-  rng gen(options.rng_seed);
-  for (std::size_t i = 0; i < k; ++i) {
-    const auto j = static_cast<std::size_t>(gen.uniform_int(
-        static_cast<std::int64_t>(i),
-        static_cast<std::int64_t>(population.size()) - 1));
-    std::swap(population[i], population[j]);
-  }
-  population.resize(k);
-  std::sort(population.begin(), population.end());
-  const double scale =
-      static_cast<double>(n - (skip == invalid_node ? 0 : 1)) /
-      static_cast<double>(k);
-  return {std::move(population), scale};
-}
-
 }  // namespace
 
 betweenness_backend betweenness_backend_from_name(std::string_view name) {
@@ -179,7 +146,7 @@ std::vector<node_id> sample_betweenness_pivots(std::size_t n, std::size_t k,
   options.backend = betweenness_backend::sampled;
   options.sample_pivots = k;
   options.rng_seed = seed;
-  return select_sources(n, options, invalid_node).first;
+  return betweenness_source_plan(n, options).sources;
 }
 
 namespace {
@@ -217,7 +184,8 @@ betweenness_result weighted_betweenness(const csr_graph& c,
   betweenness_result result;
   result.node.assign(c.node_count(), 0.0);
   result.edge.assign(c.edge_slots(), 0.0);
-  auto [sources, scale] = select_sources(c.node_count(), options, invalid_node);
+  const auto [sources, scale] =
+      betweenness_source_plan(c.node_count(), options);
   count_swept_sources(options.backend, sources.size());
   if (lanes) {
     run_sweeps(c, sources, w, scale, *lanes, &result.node, &result.edge);
@@ -239,7 +207,8 @@ double node_betweenness_of(const csr_graph& c, node_id u,
   std::vector<double> node_acc(c.node_count(), 0.0);
   // Pairs with source u are not routed *through* u, so u is excluded from
   // the source population (and from the sampled pivot pool).
-  auto [sources, scale] = select_sources(c.node_count(), options, u);
+  const auto [sources, scale] =
+      betweenness_source_plan(c.node_count(), options, u);
   count_swept_sources(options.backend, sources.size());
   lane_pool lanes(effective_threads(options, sources.size()));
   run_sweeps(c, sources, w, scale, lanes, &node_acc, nullptr);
@@ -265,8 +234,32 @@ double node_betweenness_of(const digraph& g, node_id u,
 source_plan betweenness_source_plan(std::size_t n,
                                     const betweenness_options& options,
                                     node_id skip) {
-  auto [sources, scale] = select_sources(n, options, skip);
-  return source_plan{std::move(sources), scale};
+  std::vector<node_id> population;
+  population.reserve(n);
+  for (node_id s = 0; s < n; ++s) {
+    if (s != skip) population.push_back(s);
+  }
+  const std::size_t k = options.sample_pivots;
+  if (options.backend != betweenness_backend::sampled || k == 0 ||
+      k >= population.size()) {
+    return source_plan{std::move(population), 1.0};
+  }
+  // Partial Fisher–Yates over the population, then sort so that merging
+  // happens in ascending source order (and k == |population| would be the
+  // identity permutation, i.e. exact).
+  rng gen(options.rng_seed);
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto j = static_cast<std::size_t>(gen.uniform_int(
+        static_cast<std::int64_t>(i),
+        static_cast<std::int64_t>(population.size()) - 1));
+    std::swap(population[i], population[j]);
+  }
+  population.resize(k);
+  std::sort(population.begin(), population.end());
+  const double scale =
+      static_cast<double>(n - (skip == invalid_node ? 0 : 1)) /
+      static_cast<double>(k);
+  return source_plan{std::move(population), scale};
 }
 
 void source_dependencies(const csr_graph& c, const sp_dag& dag, node_id s,

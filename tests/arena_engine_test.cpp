@@ -8,12 +8,14 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <string>
 
 #include "arena/engine.h"
 #include "arena/incremental.h"
 #include "runner/fixtures.h"
 #include "topology/dynamics.h"
 #include "topology/game.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace lcg::arena {
@@ -142,6 +144,25 @@ TEST(UtilityProvider, ThresholdSwitchesBackend) {
   EXPECT_EQ(provider.backend_for(65).sample_pivots, 8u);
   EXPECT_FALSE(provider.sampled_at(64));
   EXPECT_TRUE(provider.sampled_at(65));
+}
+
+TEST(UtilityProvider, RejectsDropSenderEdgesBasis) {
+  // The evaluator's lanes price p_trans rows from a degree state and a slot
+  // mask, which is the row only when the sender's own channels stay in the
+  // ranking: the provider takes keep_sender_edges alone, and the error
+  // names the basis it refused.
+  topology::game_params p = params_with_l(1.0);
+  p.basis = dist::rank_basis::drop_sender_edges;
+  try {
+    const utility_provider provider(p, provider_options{});
+    ADD_FAILURE() << "drop_sender_edges was accepted";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("drop_sender_edges"),
+              std::string::npos)
+        << e.what();
+  }
+  p.basis = dist::rank_basis::keep_sender_edges;
+  EXPECT_NO_THROW({ const utility_provider keep(p, provider_options{}); });
 }
 
 // --- strategy state -------------------------------------------------------

@@ -153,17 +153,14 @@ TEST(IncrementalMode, SweepLedgerAccountsEveryPath) {
   // The local oracle prices every candidate by the separator over sweeps of
   // G - u (forest, accumulations), settles most of them on that value
   // (pruned) and sweeps the rest exactly (resweeps, whole plans); the
-  // full-sweep counter only grows through node_scores. The sets priced
-  // before the G - u sweeps exist run the fee BFS — on this connected host
-  // only the first, so at most one per activation — and every later fee is
-  // read from the rows.
-  const std::uint64_t activations = inc.rounds * start.node_count();
+  // full-sweep counter only grows through node_scores. The G - u sweeps
+  // exist from the evaluator's start, so every fee is read from the rows
+  // and no fee BFS runs.
   EXPECT_GT(inc.sweeps.forest, 0u);
   EXPECT_GT(inc.sweeps.accumulations, 0u);
   EXPECT_GT(inc.sweeps.pruned, 0u);
   EXPECT_GT(inc.sweeps.resweeps, 0u);
-  EXPECT_GT(inc.sweeps.support_bfs, 0u);
-  EXPECT_LE(inc.sweeps.support_bfs, activations);
+  EXPECT_EQ(inc.sweeps.support_bfs, 0u);
   EXPECT_EQ(inc.sweeps.resweeps % plan, 0u);
   EXPECT_EQ(inc.sweeps.accumulations % plan, 0u);
   EXPECT_LE(inc.sweeps.accumulations, plan * inc.evaluations);
@@ -182,19 +179,36 @@ TEST(IncrementalMode, SweepLedgerAccountsEveryPath) {
   EXPECT_EQ(full.sweeps.accumulations, 0u);
   EXPECT_EQ(full.sweeps.pruned, 0u);
   EXPECT_GT(full.sweeps.full_sweeps, inc.sweeps.full_sweeps);
-  // The greedy oracle prices through the same protocol. Its first sets are
-  // single channels, and a single channel can leave some receiver
-  // unreachable (-inf), so an activation may run a few fee BFS before its
-  // first finite price (GreedyOracleMatchesLiteralAlgorithm1 counts them
-  // exactly); every later fee is read from the rows.
+  // The greedy oracle prices through the same protocol, and its -inf sets
+  // (a single channel can leave some receiver unreachable) read their fees
+  // from the rows too.
   const arena_result greedy =
       run_mode(start, oracle_kind::greedy, activation_order::round_robin, 0,
                provider_mode::incremental, 5);
-  EXPECT_GT(greedy.sweeps.support_bfs, 0u);
-  EXPECT_LT(greedy.sweeps.support_bfs, greedy.evaluations / 4);
+  EXPECT_EQ(greedy.sweeps.support_bfs, 0u);
   EXPECT_GT(greedy.sweeps.pruned, 0u);
   EXPECT_LE(greedy.sweeps.pruned + greedy.sweeps.resweeps / plan,
             greedy.evaluations);
+  // So does a churning population, where a joiner enters isolated and
+  // leaves every other player's sets at -inf until it moves.
+  const std::size_t n = 24, initial = 16;
+  graph::digraph churn_start(n);
+  for (const topology::channel_pair& ch :
+       topology::channel_pairs(make_start("ws", initial, 5)))
+    churn_start.add_bidirectional(ch.a, ch.b);
+  population_options popts;
+  popts.base.oracle = oracle_kind::greedy;
+  popts.base.max_rounds = 6;
+  popts.base.seed = 3;
+  popts.base.provider.mode = provider_mode::incremental;
+  popts.initial_players = initial;
+  popts.churn = make_churn_schedule(n, initial, 3, 3, 5, 19);
+  topology::game_params params;
+  params.l = 1.5;
+  const population_result churn = run_population(churn_start, params, popts);
+  ASSERT_GT(churn.joins, 0u);
+  EXPECT_GT(churn.base.sweeps.forest, 0u);
+  EXPECT_EQ(churn.base.sweeps.support_bfs, 0u);
 }
 
 TEST(IncrementalMode, GreedyOracleSettlesStepCandidatesByPrice) {
@@ -492,7 +506,6 @@ struct literal_greedy {
   std::vector<double> prefix_values;               // step maxima
   double empty = -std::numeric_limits<double>::infinity();
   std::uint64_t evaluations = 1;  // the base alone
-  std::uint64_t fee_bfs = 0;      // incremental mode's fee BFS count
   std::optional<topology::deviation> expected;
 };
 
@@ -550,18 +563,12 @@ literal_greedy run_literal_greedy(const strategy_state& state,
   const double base = utility(own);
   if (chosen != own && value > base + opts.tolerance)
     out.expected = diff_of(u, own, chosen, base, value);
-  // The fee BFS runs until the first finite price builds the rows.
-  const auto first_finite =
-      std::find_if(out.values.begin(), out.values.end(), [](double v) {
-        return v > -std::numeric_limits<double>::infinity();
-      });
-  out.fee_bfs = static_cast<std::uint64_t>(
-      std::min(first_finite + 1, out.values.end()) - out.values.begin());
   return out;
 }
 
 /// The greedy oracle for u, in both provider modes, must return `want`'s
-/// move bit for bit and count its evaluations and fee BFS.
+/// move bit for bit and count its evaluations; incremental mode runs no fee
+/// BFS.
 void expect_greedy_matches(const literal_greedy& want,
                            const strategy_state& state, graph::node_id u,
                            const topology::game_params& params,
@@ -577,7 +584,7 @@ void expect_greedy_matches(const literal_greedy& want,
         oracle_kind::greedy, state, u, provider, opts, scores, stream);
     EXPECT_EQ(provider.evaluations(), want.evaluations);
     if (popts.mode == provider_mode::incremental) {
-      EXPECT_EQ(provider.stats().support_bfs, want.fee_bfs);
+      EXPECT_EQ(provider.stats().support_bfs, 0u);
     }
     ASSERT_EQ(dev.has_value(), want.expected.has_value());
     if (!dev) continue;
@@ -594,9 +601,8 @@ TEST(IncrementalMode, GreedyOracleMatchesLiteralAlgorithm1) {
   // bit and count the same logical evaluations. Each step's strict argmax
   // picks the first enumerated of its bitwise ties; the separator prices
   // of some tied candidates order them the other way round, so only the
-  // index rule of the decide pass picks the right one there. The
-  // incremental ledger runs one fee BFS per set priced up to the first
-  // finite one.
+  // index rule of the decide pass picks the right one there. Fees come
+  // from the G - u rows, -inf sets' included.
   const struct {
     const char* name;
     graph::digraph g;
@@ -618,7 +624,7 @@ TEST(IncrementalMode, GreedyOracleMatchesLiteralAlgorithm1) {
   std::size_t tied_steps = 0;
   std::size_t reversed_ties = 0;  // a later tie has the higher price
   std::size_t moves = 0;
-  std::size_t late_rows = 0;  // activations whose first price is -inf
+  std::size_t infinite_first = 0;  // activations whose first price is -inf
   for (const auto& host : hosts) {
     for (const auto& [l, zipf_s] :
          {std::pair{0.05, 1.0}, {0.3, 1.0}, {1.5, 1.0}, {4.0, 1.0},
@@ -662,18 +668,18 @@ TEST(IncrementalMode, GreedyOracleMatchesLiteralAlgorithm1) {
           a = b - 1;
         }
         if (want.expected) ++moves;
-        if (want.fee_bfs > 1) ++late_rows;
+        if (!values.empty() && values.front() == -inf) ++infinite_first;
         expect_greedy_matches(want, state, u, params, opts, scores);
       }
     }
   }
   // The hosts must exercise the rule: steps whose maximum ties bit for bit,
   // in both visiting orders, activations that move, and activations that
-  // price -inf sets before the rows exist.
+  // price a -inf set first.
   EXPECT_GT(tied_steps, 0u);
   EXPECT_GT(reversed_ties, 0u);
   EXPECT_GT(moves, 0u);
-  EXPECT_GT(late_rows, 0u);
+  EXPECT_GT(infinite_first, 0u);
 }
 
 TEST(IncrementalMode, GreedyOracleTieRulesBetweenPrefixesAndTheEmptySet) {
@@ -801,9 +807,9 @@ TEST(IncrementalMode, FeesFromSeparatorRowsMatchTheBfs) {
       const utility_provider inc(params, inc_opts);
       candidate_evaluator bfs(full, state.graph(), u, own, adds);
       candidate_evaluator rows(inc, state.graph(), u, own, adds);
-      (void)rows.price(own);  // builds the G - u sweeps
+      // The G - u sweeps run when the evaluator starts.
       ASSERT_GT(inc.stats().forest, 0u);
-      const std::uint64_t bfs_before = inc.stats().support_bfs;
+      ASSERT_EQ(inc.stats().support_bfs, 0u);
       for (const auto& set : sets) {
         graph::digraph g = host.g;
         for (const graph::node_id p : own) {
@@ -827,8 +833,8 @@ TEST(IncrementalMode, FeesFromSeparatorRowsMatchTheBfs) {
           ++finite;
         }
       }
-      EXPECT_EQ(inc.stats().support_bfs, bfs_before)
-          << "u=" << u << ": a fee ran the BFS after the rows existed";
+      EXPECT_EQ(inc.stats().support_bfs, 0u)
+          << "u=" << u << ": an incremental fee ran the BFS";
     }
   }
   // Both sides of the short cut are exercised.
@@ -836,6 +842,85 @@ TEST(IncrementalMode, FeesFromSeparatorRowsMatchTheBfs) {
   EXPECT_GT(finite, 0u);
 }
 
+
+TEST(IncrementalMode, PlanRowsSweptUnlessEverySetLeavesAReceiverUnreachable) {
+  // The evaluator sweeps G - u when it starts: the rows of every node u can
+  // have an out-edge to (the fee rows), then the plan sources' rows. An
+  // active receiver that no fee row reaches — here an isolated node z — is
+  // unreachable from u in every set, so every set prices -inf and the plan
+  // rows are skipped. Offering z as a candidate, or taking it out of the
+  // population, lets sets be finite: then every plan row is swept, and each
+  // price lies within its margin of the exact value.
+  topology::game_params params;
+  params.l = 0.5;
+  graph::digraph g = make_start("ws", 12, 5);
+  const graph::node_id z = g.add_node();
+  const strategy_state state(g);
+  const graph::node_id u = 0;
+  const std::vector<graph::node_id>& own = state.owned(u);
+  const std::vector<graph::node_id> far = non_neighbours(state, u);
+  ASSERT_GE(far.size(), 3u);
+  ASSERT_EQ(far.back(), z);
+  const std::vector<graph::node_id> near_adds = {far[0], far[1]};
+  const std::vector<graph::node_id> z_adds = {far[0], z};
+  std::vector<char> without_z(g.node_count(), 1);
+  without_z[z] = 0;
+  const struct {
+    const char* name;
+    const std::vector<graph::node_id>& adds;
+    const std::vector<char>* active;
+    bool skipped;
+  } arms[] = {
+      {"z isolated", near_adds, nullptr, true},
+      {"z offered", z_adds, nullptr, false},
+      {"z departed", near_adds, &without_z, false},
+  };
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  for (const auto& arm : arms) {
+    SCOPED_TRACE(arm.name);
+    provider_options inc_opts;
+    inc_opts.mode = provider_mode::incremental;
+    utility_provider full(params, provider_options{});
+    utility_provider inc(params, inc_opts);
+    full.set_active(arm.active);
+    inc.set_active(arm.active);
+    candidate_evaluator exact(full, g, u, own, arm.adds);
+    candidate_evaluator priced(inc, g, u, own, arm.adds);
+    // Under the exact backend every node but u is a plan source.
+    std::vector<graph::node_id> fee_roots = g.out_neighbors(u);
+    fee_roots.insert(fee_roots.end(), arm.adds.begin(), arm.adds.end());
+    std::sort(fee_roots.begin(), fee_roots.end());
+    fee_roots.erase(std::unique(fee_roots.begin(), fee_roots.end()),
+                    fee_roots.end());
+    EXPECT_EQ(inc.stats().forest,
+              arm.skipped ? fee_roots.size() : g.node_count() - 1);
+    std::vector<std::vector<graph::node_id>> sets = {own, {}};
+    for (const graph::node_id a : arm.adds) {
+      sets.push_back(own);
+      sets.back().push_back(a);
+      std::sort(sets.back().begin(), sets.back().end());
+    }
+    for (std::size_t i = 0; i < own.size(); ++i) {
+      sets.push_back(own);
+      sets.back().erase(sets.back().begin() + static_cast<long>(i));
+      sets.back().push_back(arm.adds.back());
+      std::sort(sets.back().begin(), sets.back().end());
+    }
+    std::size_t finite = 0;
+    for (const auto& set : sets) {
+      const double want = exact.price(set);
+      const double got = priced.price(set);
+      if (want == -inf) {
+        EXPECT_EQ(got, -inf) << "|set|=" << set.size();
+        continue;
+      }
+      ++finite;
+      EXPECT_NEAR(got, want, separator_margin(got)) << "|set|=" << set.size();
+    }
+    EXPECT_EQ(finite > 0, !arm.skipped);
+    EXPECT_EQ(inc.stats().support_bfs, 0u);
+  }
+}
 
 // --- activation lanes -----------------------------------------------------
 
