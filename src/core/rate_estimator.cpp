@@ -16,15 +16,6 @@ double capacity_discount(const dist::tx_size_distribution* sizes,
   return sizes ? sizes->cdf(lock) : 1.0;
 }
 
-/// Pair-weight function over a joined graph that zeroes any pair touching u.
-graph::pair_weight_fn weights_excluding(const dist::demand_model& demand,
-                                        graph::node_id u) {
-  return [&demand, u](graph::node_id s, graph::node_id t) {
-    if (s == u || t == u) return 0.0;
-    return demand.pair_weight(s, t);
-  };
-}
-
 }  // namespace
 
 double rate_estimator::estimate(graph::node_id v, double lock) {
@@ -60,7 +51,7 @@ full_connection_rate_estimator::full_connection_rate_estimator(
     in_edge[v] = g.add_edge(v, u, 1.0);
   }
   const graph::betweenness_result b = graph::weighted_betweenness(
-      graph::freeze(g), weights_excluding(model.demand(), u), options);
+      graph::freeze(g), model.demand().weight_fn_without(u), options);
   rate_.assign(model.host().node_count(), 0.0);
   for (graph::node_id v = 0; v < rate_.size(); ++v) {
     if (in_edge[v] != graph::invalid_edge)
@@ -112,7 +103,7 @@ double anchor_pair_rate_estimator::do_estimate(graph::node_id v, double lock) {
       g.add_edge(u, other, 1.0);
       g.add_edge(other, u, 1.0);
       const graph::betweenness_result b = graph::weighted_betweenness(
-          graph::freeze(g), weights_excluding(model_.demand(), u), options_);
+          graph::freeze(g), model_.demand().weight_fn_without(u), options_);
       rate = (b.edge[vu] + b.edge[uv]) / 2.0;
     }
     cache_[v] = rate;

@@ -41,21 +41,6 @@ utility_model::joined_network utility_model::join(const strategy& s) const {
   return result;
 }
 
-namespace {
-
-/// Pair weights on the joined graph: demand pairs live on host ids; any pair
-/// touching the new node u contributes nothing (u's own traffic is priced in
-/// E_fees, not E_rev).
-graph::pair_weight_fn extended_weights(const dist::demand_model& demand,
-                                       graph::node_id u) {
-  return [&demand, u](graph::node_id s, graph::node_id t) {
-    if (s == u || t == u) return 0.0;
-    return demand.pair_weight(s, t);
-  };
-}
-
-}  // namespace
-
 double utility_model::expected_revenue(const strategy& s) const {
   if (s.empty()) return 0.0;
   const joined_network net = join(s);
@@ -71,11 +56,11 @@ double utility_model::expected_revenue(const strategy& s) const {
     case revenue_mode::node_betweenness:
       return params_.fee_avg *
              graph::node_betweenness_of(*g, net.u,
-                                        extended_weights(demand_, net.u));
+                                        demand_.weight_fn_without(net.u));
     case revenue_mode::edge_rates: {
       // Eq. (3) literal: sum lambda over u's incident directed edges.
       const graph::betweenness_result b = graph::weighted_betweenness(
-          *g, extended_weights(demand_, net.u));
+          *g, demand_.weight_fn_without(net.u));
       double sum = 0.0;
       g->for_each_out(net.u,
                       [&](graph::edge_id e, const graph::edge&) { sum += b.edge[e]; });

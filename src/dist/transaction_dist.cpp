@@ -107,4 +107,11 @@ graph::pair_weight_fn demand_model::weight_fn() const {
   };
 }
 
+graph::pair_weight_fn demand_model::weight_fn_without(graph::node_id u) const {
+  return [this, u](graph::node_id s, graph::node_id t) {
+    if (s == u || t == u) return 0.0;
+    return pair_weight(s, t);
+  };
+}
+
 }  // namespace lcg::dist

@@ -91,6 +91,11 @@ class demand_model {
   /// closure references this demand_model; keep it alive while in use.
   [[nodiscard]] graph::pair_weight_fn weight_fn() const;
 
+  /// The same weights on a graph that joined a newcomer `u`: any pair
+  /// touching u weighs 0 (u's own traffic is priced in E_fees, not E_rev),
+  /// every other pair keeps its host weight.
+  [[nodiscard]] graph::pair_weight_fn weight_fn_without(graph::node_id u) const;
+
  private:
   std::vector<std::vector<double>> rows_;
   std::vector<double> rates_;

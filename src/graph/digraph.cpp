@@ -114,4 +114,22 @@ edge_id digraph::find_edge(node_id src, node_id dst) const {
   return invalid_edge;
 }
 
+std::vector<edge_id> channel_partners(const digraph& g) {
+  std::vector<edge_id> partner(g.edge_slots(), invalid_edge);
+  for (edge_id e = 0; e < g.edge_slots(); ++e) {
+    if (!g.edge_active(e) || partner[e] != invalid_edge) continue;
+    const edge& ed = g.edge_at(e);
+    // Slots below e are settled; one above e is free until claimed.
+    for (const edge_id r : g.out_edge_ids(ed.dst)) {
+      if (r > e && partner[r] == invalid_edge && g.edge_active(r) &&
+          g.edge_at(r).dst == ed.src) {
+        partner[e] = r;
+        partner[r] = e;
+        break;
+      }
+    }
+  }
+  return partner;
+}
+
 }  // namespace lcg::graph

@@ -14,6 +14,7 @@
 #define LCG_GRAPH_DIGRAPH_H
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "util/error.h"
@@ -32,6 +33,10 @@ struct edge {
   double capacity = 0.0;  // max value this direction can forward
   bool active = true;
 };
+
+/// Edge predicate of the filtered views (graph::filtered, the filtered
+/// searches of graph/traversal.h): true keeps the active edge.
+using edge_filter = std::function<bool(edge_id, const edge&)>;
 
 class digraph {
  public:
@@ -110,6 +115,14 @@ class digraph {
   std::vector<std::vector<edge_id>> in_;
   std::size_t active_edges_ = 0;
 };
+
+/// The channel partner of every edge slot: the greedy reverse pairing of
+/// the active edges in slot order (each edge takes the first unpaired
+/// active reverse edge among its head's out-edges), invalid_edge for an
+/// unpaired or inactive slot. A pair's first edge has the lower id. The
+/// DOT and CSV writers and topology::channel_pairs all read channels
+/// through this one rule.
+[[nodiscard]] std::vector<edge_id> channel_partners(const digraph& g);
 
 }  // namespace lcg::graph
 

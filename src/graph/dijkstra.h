@@ -2,8 +2,8 @@
 //
 // The paper measures distance in hops, but real Lightning routing minimises
 // *fees*: each hop charges base + rate * amount, so path costs are additive
-// edge weights. The pcn router's fee-weighted mode (route_mode::cheapest)
-// builds on this module; II-B itself cites Dijkstra as the estimation
+// edge weights. pcn::network::execute_payment_cheapest, the fee-weighted
+// router, builds on this module; II-B itself cites Dijkstra as the estimation
 // workhorse. Weights are supplied per edge by a callback so callers can
 // price edges by fee, latency, or any composite.
 

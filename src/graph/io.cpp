@@ -71,26 +71,15 @@ double parse_amount_field(std::string_view file_kind, std::size_t line,
 
 void write_dot(std::ostream& os, const digraph& g, const std::string& name) {
   os << "graph " << name << " {\n";
-  std::vector<char> consumed(g.edge_slots(), 0);
+  const std::vector<edge_id> partner = channel_partners(g);
   for (edge_id e = 0; e < g.edge_slots(); ++e) {
-    if (!g.edge_active(e) || consumed[e]) continue;
+    // A channel renders once, at its first edge.
+    if (!g.edge_active(e) || partner[e] < e) continue;
     const edge& ed = g.edge_at(e);
-    // Look for an unconsumed reverse partner to render as one channel.
-    edge_id reverse = invalid_edge;
-    for (const edge_id r : g.out_edge_ids(ed.dst)) {
-      if (r != e && !consumed[r] && g.edge_active(r) &&
-          g.edge_at(r).dst == ed.src) {
-        reverse = r;
-        break;
-      }
-    }
-    if (reverse != invalid_edge) {
-      consumed[e] = 1;
-      consumed[reverse] = 1;
+    if (partner[e] != invalid_edge) {
       os << "  " << ed.src << " -- " << ed.dst << " [label=\"" << ed.capacity
-         << "/" << g.edge_at(reverse).capacity << "\"];\n";
+         << "/" << g.edge_at(partner[e]).capacity << "\"];\n";
     } else {
-      consumed[e] = 1;
       os << "  " << ed.src << " -- " << ed.dst << " [dir=forward, label=\""
          << ed.capacity << "\"];\n";
     }
@@ -247,25 +236,20 @@ void write_csv_snapshot(std::ostream& nodes_os, std::ostream& channels_os,
   }
   const std::size_t m = packed.size();
 
-  // Greedy reverse-pairing into channels, same rule as write_dot.
+  // Channels (graph::channel_partners) numbered in first-edge order.
+  const std::vector<edge_id> slot_partner = channel_partners(g);
   std::vector<edge_id> partner(m, invalid_edge);  // dense -> dense
   std::vector<edge_id> channel_of(m, invalid_edge);
   std::vector<edge_id> channel_edge1;  // channel id -> dense edge id
   for (edge_id i = 0; i < m; ++i) {
-    if (channel_of[i] != invalid_edge) continue;
-    const edge& ed = g.edge_at(packed[i]);
-    for (const edge_id r : g.out_edge_ids(ed.dst)) {
-      if (!g.edge_active(r) || g.edge_at(r).dst != ed.src) continue;
-      const edge_id j = dense[r];
-      if (channel_of[j] != invalid_edge) continue;
-      partner[i] = j;
-      partner[j] = i;
-      break;
+    const edge_id r = slot_partner[packed[i]];
+    if (r != invalid_edge) partner[i] = dense[r];
+    if (partner[i] < i) {
+      channel_of[i] = channel_of[partner[i]];
+    } else {
+      channel_of[i] = static_cast<edge_id>(channel_edge1.size());
+      channel_edge1.push_back(i);
     }
-    const auto channel = static_cast<edge_id>(channel_edge1.size());
-    channel_of[i] = channel;
-    if (partner[i] != invalid_edge) channel_of[partner[i]] = channel;
-    channel_edge1.push_back(i);
   }
 
   nodes_os << nodes_header << "\n";

@@ -7,30 +7,13 @@
 namespace lcg::graph {
 
 bool is_strongly_connected(const digraph& g) {
-  const std::size_t n = g.node_count();
-  if (n <= 1) return true;
-  // Forward reachability from node 0.
-  const auto fwd = bfs_distances(g, 0);
-  if (std::any_of(fwd.begin(), fwd.end(),
-                  [](std::int32_t d) { return d == unreachable; }))
-    return false;
-  // Backward reachability: BFS on the reverse adjacency.
-  std::vector<char> seen(n, 0);
-  std::vector<node_id> stack{0};
-  seen[0] = 1;
-  std::size_t visited = 1;
-  while (!stack.empty()) {
-    const node_id v = stack.back();
-    stack.pop_back();
-    g.for_each_in(v, [&](edge_id, const edge& e) {
-      if (!seen[e.src]) {
-        seen[e.src] = 1;
-        ++visited;
-        stack.push_back(e.src);
-      }
-    });
-  }
-  return visited == n;
+  if (g.node_count() <= 1) return true;
+  // Node 0 reaches every node and every node reaches node 0.
+  const auto reached = [](const std::vector<std::int32_t>& dist) {
+    return std::none_of(dist.begin(), dist.end(),
+                        [](std::int32_t d) { return d == unreachable; });
+  };
+  return reached(bfs_distances(g, 0)) && reached(bfs_distances_to(g, 0));
 }
 
 std::int32_t eccentricity(const digraph& g, node_id v) {
@@ -53,35 +36,20 @@ std::int32_t diameter(const digraph& g) {
   return diam;
 }
 
-std::int32_t longest_shortest_path_through(const digraph& g, node_id v) {
+through_path longest_shortest_path_through(const digraph& g, node_id v) {
   LCG_EXPECTS(g.has_node(v));
   const std::size_t n = g.node_count();
-  // d(s, v) for all s: BFS on reverse edges from v; d(v, t): forward BFS.
-  const auto from_v = bfs_distances(g, v);
-  std::vector<std::int32_t> to_v(n, unreachable);
-  {
-    std::vector<node_id> queue{v};
-    to_v[v] = 0;
-    std::size_t head = 0;
-    while (head < queue.size()) {
-      const node_id w = queue[head++];
-      g.for_each_in(w, [&](edge_id, const edge& e) {
-        if (to_v[e.src] == unreachable) {
-          to_v[e.src] = to_v[w] + 1;
-          queue.push_back(e.src);
-        }
-      });
-    }
-  }
-  std::int32_t best = unreachable;
+  const auto to_v = bfs_distances_to(g, v);  // d(s, v)
+  const auto from_v = bfs_distances(g, v);   // d(v, t)
+  through_path best;
   for (node_id s = 0; s < n; ++s) {
     if (to_v[s] == unreachable) continue;
     const auto dist_s = bfs_distances(g, s);
     for (node_id t = 0; t < n; ++t) {
       if (t == s || dist_s[t] == unreachable || from_v[t] == unreachable)
         continue;
-      if (to_v[s] + from_v[t] == dist_s[t])
-        best = std::max(best, dist_s[t]);
+      if (to_v[s] + from_v[t] == dist_s[t] && dist_s[t] > best.d)
+        best = {dist_s[t], s, t};
     }
   }
   return best;

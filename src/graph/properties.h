@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "graph/digraph.h"
+#include "graph/traversal.h"
 
 namespace lcg::graph {
 
@@ -23,11 +24,20 @@ namespace lcg::graph {
 /// the graph is not strongly connected.
 [[nodiscard]] std::int32_t diameter(const digraph& g);
 
+/// The longest shortest path through a node: its length and endpoints.
+struct through_path {
+  std::int32_t d = unreachable;  // hops
+  node_id s = invalid_node;
+  node_id t = invalid_node;
+};
+
 /// Length of the longest shortest path that has `v` as an interior or end
 /// node: max over ordered reachable pairs (s, t) whose shortest-path
-/// distance decomposes as d(s,v) + d(v,t) = d(s,t).
+/// distance decomposes as d(s,v) + d(v,t) = d(s,t), with the first such
+/// pair in (s, t) order that reaches it. `unreachable` and no pair when
+/// no pair s != t qualifies.
 /// Theorem 6 upper-bounds this value when v is a hub in a stable network.
-[[nodiscard]] std::int32_t longest_shortest_path_through(const digraph& g,
+[[nodiscard]] through_path longest_shortest_path_through(const digraph& g,
                                                          node_id v);
 
 /// Active in-degrees of all nodes (paper ranks nodes by in-degree in II-B).

@@ -2,8 +2,7 @@
 
 namespace lcg::graph {
 
-subgraph_result filtered(
-    const digraph& g, const std::function<bool(edge_id, const edge&)>& keep) {
+subgraph_result filtered(const digraph& g, const edge_filter& keep) {
   subgraph_result result;
   result.graph = digraph(g.node_count());
   for (edge_id e = 0; e < g.edge_slots(); ++e) {

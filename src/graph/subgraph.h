@@ -10,7 +10,6 @@
 #ifndef LCG_GRAPH_SUBGRAPH_H
 #define LCG_GRAPH_SUBGRAPH_H
 
-#include <functional>
 #include <vector>
 
 #include "graph/digraph.h"
@@ -27,8 +26,8 @@ struct subgraph_result {
                                                   double min_capacity);
 
 /// Keeps active edges satisfying an arbitrary predicate.
-[[nodiscard]] subgraph_result filtered(
-    const digraph& g, const std::function<bool(edge_id, const edge&)>& keep);
+[[nodiscard]] subgraph_result filtered(const digraph& g,
+                                       const edge_filter& keep);
 
 }  // namespace lcg::graph
 

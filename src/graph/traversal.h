@@ -12,7 +12,11 @@
 // (the freeze contract), so the two give bitwise-equal dist, sigma and
 // order; only the edge keys in `pred` differ (original ids vs packed
 // indices). Callers that never read predecessors (`bfs_distances`,
-// `shortest_path_counts`) record none.
+// `shortest_path_counts`) record none. The same body also walks a digraph
+// reversed (`bfs_distances_to`) and filtered by an edge predicate
+// (`first_found_path`, the filtered `shortest_path_dag`): the payment
+// routes of pcn::network, the rebalancing cycles of sim/rebalancing and
+// the reverse reachability of graph/properties are hop searches on it.
 
 #ifndef LCG_GRAPH_TRAVERSAL_H
 #define LCG_GRAPH_TRAVERSAL_H
@@ -38,6 +42,10 @@ inline constexpr std::int32_t unreachable = -1;
                                                       node_id src);
 [[nodiscard]] std::vector<std::int32_t> bfs_distances(const csr_graph& c,
                                                       node_id src);
+/// Hop distances TO `dst` over active edges: dist[v] = d(v, dst), the same
+/// sweep over the reversed edges.
+[[nodiscard]] std::vector<std::int32_t> bfs_distances_to(const digraph& g,
+                                                         node_id dst);
 /// The same distances written in place into `dist` (g.node_count()
 /// entries, any previous contents); `order` is overwritten and serves as
 /// the FIFO, so a caller re-running BFS into warm buffers allocates
@@ -111,6 +119,15 @@ struct sp_dag {
 void shortest_path_dag(const digraph& g, node_id src, sp_dag& out);
 void shortest_path_dag(const csr_graph& c, node_id src, sp_dag& out);
 
+/// The DAG of graph::filtered(g, keep) toward `dst`, written into `out`
+/// without a copy: the sweep runs over the active edges `keep` accepts,
+/// `pred` holds their original edge ids, and it ends once dst's level is
+/// settled. dist, sigma and pred are final for every node no farther than
+/// dst (for every node when dst is unreachable); nothing is promised
+/// beyond.
+void shortest_path_dag(const digraph& g, node_id src, node_id dst,
+                       const edge_filter& keep, sp_dag& out);
+
 /// The dist, sigma and order of shortest_path_dag(c, src), with no
 /// predecessor lists: `dist` and `sigma` (c.node_count() entries each, any
 /// previous contents) are overwritten in place, so a caller can sweep into
@@ -120,7 +137,17 @@ void shortest_path_counts(const csr_graph& c, node_id src,
                           std::span<std::int32_t> dist,
                           std::span<double> sigma, std::vector<node_id>& order);
 
-/// One shortest path (as node sequence, src first) or empty if unreachable.
+/// The first-found shortest path src -> dst over the active edges `keep`
+/// accepts, as edge ids from src on, empty if dst is unreachable or is
+/// src. Each node's parent is its discovering edge (the first in scan
+/// order from the earliest-queued node before it), and the sweep ends once
+/// dst is discovered.
+[[nodiscard]] std::vector<edge_id> first_found_path(const digraph& g,
+                                                    node_id src, node_id dst,
+                                                    const edge_filter& keep);
+
+/// The first-found shortest path over every active edge as a node
+/// sequence, src first; empty if dst is unreachable.
 [[nodiscard]] std::vector<node_id> shortest_path(const digraph& g, node_id src,
                                                  node_id dst);
 

@@ -1,9 +1,7 @@
 #include "obs/trace.h"
 
-#include <cstdio>
 #include <iomanip>
 #include <ostream>
-#include <string_view>
 
 #include "obs/registry.h"
 #include "util/format.h"
@@ -11,39 +9,6 @@
 namespace lcg::obs {
 
 namespace {
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void write_span_line(std::ostream& os, const span_record& s) {
   os << "{\"kind\":\"span\",\"id\":" << s.id << ",\"parent\":" << s.parent

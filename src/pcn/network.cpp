@@ -1,8 +1,5 @@
 #include "pcn/network.h"
 
-#include <algorithm>
-#include <queue>
-
 #include "graph/dijkstra.h"
 #include "graph/traversal.h"
 
@@ -141,78 +138,30 @@ std::vector<graph::edge_id> network::feasible_path(graph::node_id sender,
                                                    graph::node_id receiver,
                                                    double amount,
                                                    rng* tie_breaker) const {
-  if (tie_breaker == nullptr) {
-    // Deterministic BFS: first-found shortest feasible path.
-    std::vector<graph::edge_id> parent_edge(g_.node_count(),
-                                            graph::invalid_edge);
-    std::vector<char> seen(g_.node_count(), 0);
-    std::queue<graph::node_id> frontier;
-    seen[sender] = 1;
-    frontier.push(sender);
-    while (!frontier.empty() && !seen[receiver]) {
-      const graph::node_id v = frontier.front();
-      frontier.pop();
-      g_.for_each_out(v, [&](graph::edge_id e, const graph::edge& ed) {
-        if (seen[ed.dst] || ed.capacity < amount) return;
-        seen[ed.dst] = 1;
-        parent_edge[ed.dst] = e;
-        frontier.push(ed.dst);
-      });
-    }
-    if (!seen[receiver]) return {};
-    std::vector<graph::edge_id> path;
-    graph::node_id v = receiver;
-    while (v != sender) {
-      const graph::edge_id e = parent_edge[v];
-      path.push_back(e);
-      v = g_.edge_at(e).src;
-    }
-    std::reverse(path.begin(), path.end());
-    return path;
-  }
+  // II-B's G': only the edges with capacity to forward `amount`.
+  const auto forwards = [amount](graph::edge_id, const graph::edge& ed) {
+    return ed.capacity >= amount;
+  };
+  if (tie_breaker == nullptr)
+    return graph::first_found_path(g_, sender, receiver, forwards);
 
-  // Uniform sampling over all shortest feasible paths: BFS with path
-  // counting (sigma), then a backward walk choosing each predecessor edge
-  // proportionally to its sigma share.
-  const std::size_t n = g_.node_count();
-  std::vector<std::int32_t> dist(n, graph::unreachable);
-  std::vector<double> sigma(n, 0.0);
-  std::vector<std::vector<graph::edge_id>> pred(n);
-  std::queue<graph::node_id> frontier;
-  dist[sender] = 0;
-  sigma[sender] = 1.0;
-  frontier.push(sender);
-  while (!frontier.empty()) {
-    const graph::node_id v = frontier.front();
-    frontier.pop();
-    if (dist[receiver] != graph::unreachable && dist[v] >= dist[receiver])
-      break;  // receiver level fully settled
-    g_.for_each_out(v, [&](graph::edge_id e, const graph::edge& ed) {
-      if (ed.capacity < amount) return;
-      if (dist[ed.dst] == graph::unreachable) {
-        dist[ed.dst] = dist[v] + 1;
-        frontier.push(ed.dst);
-      }
-      if (dist[ed.dst] == dist[v] + 1) {
-        sigma[ed.dst] += sigma[v];
-        pred[ed.dst].push_back(e);
-      }
-    });
-  }
-  if (dist[receiver] == graph::unreachable) return {};
-  std::vector<graph::edge_id> path;
-  graph::node_id v = receiver;
+  // Uniform sampling over all shortest feasible paths: the path-counting
+  // DAG up to the receiver's level, then a backward walk choosing each
+  // predecessor edge in proportion to its tail's sigma.
+  graph::sp_dag dag;
+  graph::shortest_path_dag(g_, sender, receiver, forwards, dag);
+  if (dag.dist[receiver] == graph::unreachable) return {};
+  std::vector<graph::edge_id> path(
+      static_cast<std::size_t>(dag.dist[receiver]));
   std::vector<double> weights;
-  while (v != sender) {
+  graph::node_id v = receiver;
+  for (std::size_t k = path.size(); k > 0; --k) {
     weights.clear();
-    for (const graph::edge_id e : pred[v])
-      weights.push_back(sigma[g_.edge_at(e).src]);
-    const graph::edge_id e =
-        pred[v][tie_breaker->discrete(weights)];
-    path.push_back(e);
-    v = g_.edge_at(e).src;
+    for (const graph::edge_id e : dag.pred[v])
+      weights.push_back(dag.sigma[g_.edge_at(e).src]);
+    path[k - 1] = dag.pred[v][tie_breaker->discrete(weights)];
+    v = g_.edge_at(path[k - 1]).src;
   }
-  std::reverse(path.begin(), path.end());
   return path;
 }
 

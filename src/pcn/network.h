@@ -225,8 +225,9 @@ class network {
   std::uint64_t payments_succeeded() const noexcept { return succeeded_; }
 
  private:
-  /// BFS for a shortest path whose every edge has capacity >= amount.
-  /// With a tie_breaker, samples uniformly among all shortest paths.
+  /// The first-found shortest path whose every edge has capacity >=
+  /// amount (graph::first_found_path). With a tie_breaker, samples
+  /// uniformly among all such shortest paths.
   std::vector<graph::edge_id> feasible_path(graph::node_id sender,
                                             graph::node_id receiver,
                                             double amount,

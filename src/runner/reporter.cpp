@@ -40,29 +40,6 @@ std::string csv_escape(const std::string& cell) {
   return out;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string json_value(const value& v) {
   if (const auto* s = std::get_if<std::string>(&v))
     return "\"" + json_escape(*s) + "\"";

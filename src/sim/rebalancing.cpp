@@ -1,8 +1,8 @@
 #include "sim/rebalancing.h"
 
 #include <algorithm>
-#include <queue>
 
+#include "graph/traversal.h"
 #include "util/error.h"
 
 namespace lcg::sim {
@@ -47,30 +47,18 @@ rebalance_result rebalance_channel(pcn::network& net, pcn::channel_id id,
 
   // Shortest path beneficiary -> counterparty avoiding both of the
   // channel's own edges, every hop with donatable slack >= `required`
-  // (plain mode: slack is the raw capacity, required the full amount).
-  const graph::edge_id avoid_a = ch.edge_ab;
-  const graph::edge_id avoid_b = ch.edge_ba;
-  std::vector<graph::edge_id> parent(g.node_count(), graph::invalid_edge);
+  // (plain mode: slack is the raw capacity, required the full amount),
+  // closing a cycle of at most max_cycle_len hops. The first-found path is
+  // a shortest one, so a too-long path means no short enough cycle exists.
   const auto find_path = [&](double required) {
-    std::fill(parent.begin(), parent.end(), graph::invalid_edge);
-    std::vector<std::int32_t> depth(g.node_count(), -1);
-    std::queue<graph::node_id> frontier;
-    depth[beneficiary] = 0;
-    frontier.push(beneficiary);
-    while (!frontier.empty() && depth[counterparty] < 0) {
-      const graph::node_id v = frontier.front();
-      frontier.pop();
-      if (static_cast<std::size_t>(depth[v]) + 1 >= max_cycle_len) continue;
-      g.for_each_out(v, [&](graph::edge_id e, const graph::edge& ed) {
-        if (e == avoid_a || e == avoid_b) return;
-        if (depth[ed.dst] >= 0) return;
-        if (edge_slack(net, e, donor_floor) < required) return;
-        depth[ed.dst] = depth[v] + 1;
-        parent[ed.dst] = e;
-        frontier.push(ed.dst);
-      });
-    }
-    return depth[counterparty] >= 0;
+    std::vector<graph::edge_id> path = graph::first_found_path(
+        g, beneficiary, counterparty,
+        [&](graph::edge_id e, const graph::edge&) {
+          return e != ch.edge_ab && e != ch.edge_ba &&
+                 edge_slack(net, e, donor_floor) >= required;
+        });
+    if (path.size() + 1 > max_cycle_len) path.clear();
+    return path;
   };
 
   // Donor-aware mode prefers a (possibly longer) cycle that carries the
@@ -78,21 +66,16 @@ rebalance_result rebalance_channel(pcn::network& net, pcn::channel_id id,
   // fall back to the shortest positive-slack cycle and clamp to its
   // donatable slack. A shortest trickle cycle must never shadow a
   // donor-safe full-amount cycle (sim_rebalancing_test pins this).
-  bool found = find_path(executable);
-  if (!found && donor_floor >= 0.0) {
+  std::vector<graph::edge_id> route = find_path(executable);
+  if (route.empty() && donor_floor >= 0.0) {
     constexpr double min_donation = 1e-12;
-    found = find_path(min_donation);
+    route = find_path(min_donation);
   }
-  if (!found) return result;
+  if (route.empty()) return result;
 
-  std::vector<graph::edge_id> route;
-  for (graph::node_id v = counterparty; v != beneficiary;
-       v = g.edge_at(parent[v]).src) {
-    route.push_back(parent[v]);
-    executable = std::min(executable, edge_slack(net, parent[v], donor_floor));
-  }
+  for (const graph::edge_id e : route)
+    executable = std::min(executable, edge_slack(net, e, donor_floor));
   if (executable <= 0.0) return result;
-  std::reverse(route.begin(), route.end());
   route.push_back(return_edge);
 
   // Fee-aware (non-cooperative) mode: every interior node of the cycle

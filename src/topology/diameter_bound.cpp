@@ -29,51 +29,19 @@ hub_path_analysis analyze_hub_path(const graph::digraph& g,
   hub_path_analysis out;
   out.hub = hub == graph::invalid_node ? graph::max_degree_node(g) : hub;
 
-  // Find the (s, t) pair maximising d(s,t) among shortest paths through hub:
+  // The (s, t) pair maximising d(s,t) among shortest paths through hub:
   // d(s, hub) + d(hub, t) == d(s, t).
-  const auto from_hub = graph::bfs_distances(g, out.hub);
-  std::vector<std::int32_t> to_hub(g.node_count(), graph::unreachable);
-  {
-    // BFS over reversed edges.
-    std::vector<graph::node_id> queue{out.hub};
-    to_hub[out.hub] = 0;
-    std::size_t head = 0;
-    while (head < queue.size()) {
-      const graph::node_id w = queue[head++];
-      g.for_each_in(w, [&](graph::edge_id, const graph::edge& e) {
-        if (to_hub[e.src] == graph::unreachable) {
-          to_hub[e.src] = to_hub[w] + 1;
-          queue.push_back(e.src);
-        }
-      });
-    }
-  }
-  graph::node_id best_s = graph::invalid_node;
-  graph::node_id best_t = graph::invalid_node;
-  std::int32_t best_d = -1;
-  for (graph::node_id s = 0; s < g.node_count(); ++s) {
-    if (to_hub[s] == graph::unreachable) continue;
-    const auto dist_s = graph::bfs_distances(g, s);
-    for (graph::node_id t = 0; t < g.node_count(); ++t) {
-      if (t == s || dist_s[t] == graph::unreachable ||
-          from_hub[t] == graph::unreachable)
-        continue;
-      if (to_hub[s] + from_hub[t] == dist_s[t] && dist_s[t] > best_d) {
-        best_d = dist_s[t];
-        best_s = s;
-        best_t = t;
-      }
-    }
-  }
-  LCG_ENSURES(best_d >= 0);
-  out.d = best_d;
+  const graph::through_path longest =
+      graph::longest_shortest_path_through(g, out.hub);
+  LCG_ENSURES(longest.d >= 0);
+  out.d = longest.d;
 
   // Reconstruct one shortest s->t path through the hub (shortest s->hub
   // followed by shortest hub->t).
-  out.path = graph::shortest_path(g, best_s, out.hub);
+  out.path = graph::shortest_path(g, longest.s, out.hub);
   {
     const std::vector<graph::node_id> tail =
-        graph::shortest_path(g, out.hub, best_t);
+        graph::shortest_path(g, out.hub, longest.t);
     out.path.insert(out.path.end(), tail.begin() + 1, tail.end());
   }
   LCG_ENSURES(static_cast<std::int32_t>(out.path.size()) == out.d + 1);

@@ -75,23 +75,13 @@ utility_breakdown node_utility(const graph::digraph& g, graph::node_id u,
 
 std::vector<channel_pair> channel_pairs(const graph::digraph& g) {
   std::vector<channel_pair> pairs;
-  std::vector<char> used(g.edge_slots(), 0);
+  const std::vector<graph::edge_id> partner = graph::channel_partners(g);
   for (graph::edge_id e = 0; e < g.edge_slots(); ++e) {
-    if (!g.edge_active(e) || used[e]) continue;
+    if (!g.edge_active(e) || partner[e] < e) continue;
+    // graphs must be channel-paired
+    LCG_ENSURES(partner[e] != graph::invalid_edge);
     const graph::edge& ed = g.edge_at(e);
-    // Find an unused reverse partner.
-    graph::edge_id reverse = graph::invalid_edge;
-    for (const graph::edge_id r : g.out_edge_ids(ed.dst)) {
-      if (r != e && !used[r] && g.edge_active(r) &&
-          g.edge_at(r).dst == ed.src) {
-        reverse = r;
-        break;
-      }
-    }
-    LCG_ENSURES(reverse != graph::invalid_edge);  // graphs must be channel-paired
-    used[e] = 1;
-    used[reverse] = 1;
-    pairs.push_back(channel_pair{e, reverse, ed.src, ed.dst});
+    pairs.push_back(channel_pair{e, partner[e], ed.src, ed.dst});
   }
   return pairs;
 }

@@ -1,5 +1,5 @@
 // Locale-independent number formatting/parsing shared by the reporters,
-// the result cache, and the CLI.
+// the result cache, and the CLI, plus the JSON string escape.
 //
 // Doubles render via shortest-round-trip std::to_chars: the same value
 // always produces the same bytes (unlike locale-sensitive iostreams), and
@@ -10,6 +10,7 @@
 #define LCG_UTIL_FORMAT_H
 
 #include <charconv>
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -35,6 +36,32 @@ template <typename T>
   if (ec != std::errc() || ptr != text.data() + text.size())
     return std::nullopt;
   return v;
+}
+
+/// `s` as the body of a JSON string literal: quote, backslash and control
+/// characters escaped, everything else byte for byte. The JSONL reporter
+/// and the trace writer both quote through it.
+inline std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace lcg

@@ -12,8 +12,9 @@
 //                                                (the rescaled error bound)
 //   5. E[sampled] == exact                       (unbiasedness, seed-averaged)
 //   6. node_betweenness_of consistent with the full sweep across backends
-//   7. the one BFS body: digraph, csr_graph and separator-row sweeps agree
-//                                                (BITWISE, every source)
+//   7. the one BFS body: digraph, csr_graph and separator-row sweeps agree,
+//      and its reversed and filtered views equal sweeps of materialised
+//      reversed and filtered copies            (BITWISE, every source)
 //
 // plus the documented invariants: zero-weight pairs add exactly 0.0 (never
 // -0.0/NaN), unreachable pairs contribute nothing, inactive edge slots stay
@@ -24,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <memory>
@@ -32,6 +34,7 @@
 
 #include "graph/csr.h"
 #include "graph/generators.h"
+#include "graph/subgraph.h"
 #include "graph/traversal.h"
 #include "util/rng.h"
 
@@ -783,6 +786,26 @@ TEST(BetweennessCsr, RefrozenViewMatchesNaiveAcrossToggleSequences) {
 // warm buffers alike.
 // ---------------------------------------------------------------------------
 
+/// Expects sweeps `a` and `b` to agree on every node `covered` accepts:
+/// dist, sigma bitwise, and pred lists once a's keys are mapped through
+/// key_of.
+template <typename KeyOf, typename Covered>
+void expect_same_dag(const sp_dag& a, KeyOf key_of, const sp_dag& b,
+                     Covered covered, const std::string& ctx) {
+  ASSERT_EQ(a.pred.size(), b.pred.size()) << ctx;
+  for (node_id v = 0; v < b.pred.size(); ++v) {
+    if (!covered(v)) continue;
+    EXPECT_EQ(a.dist[v], b.dist[v]) << ctx << " v=" << v;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.sigma[v]),
+              std::bit_cast<std::uint64_t>(b.sigma[v]))
+        << ctx << " v=" << v;
+    std::vector<edge_id> mapped;
+    for (const edge_id k : a.pred[v]) mapped.push_back(key_of(k));
+    EXPECT_EQ(mapped, std::vector<edge_id>(b.pred[v].begin(), b.pred[v].end()))
+        << ctx << " v=" << v;
+  }
+}
+
 TEST(BfsBody, RepresentationsAndSeparatorRowsAgreeBitwise) {
   std::size_t views = 0, unreachable_seen = 0, multi_path_seen = 0;
   // One warm pair of rows and FIFO, re-filled across sources, views and
@@ -811,26 +834,65 @@ TEST(BfsBody, RepresentationsAndSeparatorRowsAgreeBitwise) {
       const csr_graph view = freeze(g);
       warm_dist.resize(n);
       warm_sigma.resize(n);
+      // The other two views, against materialised copies: g reversed, and
+      // g with capacities 1..4 under a random threshold through filtered().
+      digraph reversed(n);
+      digraph capped = g;
+      for (edge_id e = 0; e < g.edge_slots(); ++e) {
+        if (!g.edge_active(e)) continue;
+        reversed.add_edge(g.edge_at(e).dst, g.edge_at(e).src);
+        capped.set_capacity(e, static_cast<double>(gen.uniform_int(1, 4)));
+      }
+      const double threshold = static_cast<double>(gen.uniform_int(1, 4));
+      const edge_filter keep = [threshold](edge_id, const edge& ed) {
+        return ed.capacity >= threshold;
+      };
+      const subgraph_result sub = filtered(capped, keep);
+      const auto all = [](node_id) { return true; };
       for (node_id s = 0; s < n; ++s) {
         const sp_dag want = shortest_path_dag(g, s);
         const sp_dag got = shortest_path_dag(view, s);
         EXPECT_EQ(bfs_distances(g, s), want.dist) << ctx << " s=" << s;
         EXPECT_EQ(bfs_distances(view, s), want.dist) << ctx << " s=" << s;
-        EXPECT_EQ(got.dist, want.dist) << ctx << " s=" << s;
         EXPECT_EQ(got.order, want.order) << ctx << " s=" << s;
-        ASSERT_EQ(got.pred.size(), want.pred.size()) << ctx;
+        expect_same_dag(
+            got, [&](csr_graph::packed_id k) { return view.edge_slot(k); },
+            want, all, ctx + " csr s=" + std::to_string(s));
         for (node_id v = 0; v < n; ++v) {
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.sigma[v]),
-                    std::bit_cast<std::uint64_t>(want.sigma[v]))
-              << ctx << " s=" << s << " v=" << v;
-          std::vector<edge_id> mapped;
-          for (const csr_graph::packed_id k : got.pred[v])
-            mapped.push_back(view.edge_slot(k));
-          EXPECT_EQ(mapped, std::vector<edge_id>(want.pred[v].begin(),
-                                                 want.pred[v].end()))
-              << ctx << " s=" << s << " v=" << v;
           if (want.dist[v] == unreachable) ++unreachable_seen;
           if (want.sigma[v] > 1.0) ++multi_path_seen;
+        }
+
+        EXPECT_EQ(bfs_distances_to(g, s), bfs_distances(reversed, s))
+            << ctx << " s=" << s;
+        const sp_dag sub_dag = shortest_path_dag(sub.graph, s);
+        const auto original = [&](edge_id e) { return sub.original_edge[e]; };
+        // Toward the last node discovered, the whole DAG is final.
+        sp_dag kept;
+        shortest_path_dag(capped, s, sub_dag.order.back(), keep, kept);
+        EXPECT_EQ(kept.order, sub_dag.order) << ctx << " s=" << s;
+        expect_same_dag(sub_dag, original, kept, all,
+                        ctx + " filtered s=" + std::to_string(s));
+        for (node_id t = 0; t < n; ++t) {
+          const std::string at =
+              ctx + " s=" + std::to_string(s) + " t=" + std::to_string(t);
+          // The first-found path walks each node's first DAG in-edge.
+          std::vector<edge_id> first;
+          if (sub_dag.dist[t] != unreachable)
+            for (node_id v = t; v != s; v = capped.edge_at(first.back()).src)
+              first.push_back(original(sub_dag.pred[v].front()));
+          std::reverse(first.begin(), first.end());
+          EXPECT_EQ(first_found_path(capped, s, t, keep), first) << at;
+          // Stopped at t's level: final on every node no farther than t.
+          shortest_path_dag(capped, s, t, keep, kept);
+          const std::int32_t reach = sub_dag.dist[t];
+          expect_same_dag(sub_dag, original, kept,
+                          [&](node_id v) {
+                            return reach == unreachable ||
+                                   (sub_dag.dist[v] != unreachable &&
+                                    sub_dag.dist[v] <= reach);
+                          },
+                          at + " stopped");
         }
 
         // The separator rows: cold, freshly allocated buffers and the

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <queue>
+#include <string>
 
+#include "graph/generators.h"
+#include "graph/traversal.h"
 #include "pcn/network.h"
 
 namespace lcg::pcn {
@@ -138,6 +143,120 @@ TEST(TieBreakRouting, UnevenPathCountsWeightSampling) {
   for (const graph::node_id mid : {1u, 2u, 3u}) {
     EXPECT_NEAR(via[mid], trials / 3, trials * 0.06) << mid;
   }
+}
+
+/// The sigma-weighted sampler execute_payment used before it ran on
+/// graph/traversal's body, verbatim: a path-counting BFS over the edges
+/// with capacity >= amount that stops once the receiver's level is
+/// settled, then a backward walk drawing each predecessor edge in
+/// proportion to its tail's sigma.
+std::vector<graph::edge_id> oracle_sample(const graph::digraph& g_,
+                                          graph::node_id sender,
+                                          graph::node_id receiver,
+                                          double amount, rng* tie_breaker) {
+  const std::size_t n = g_.node_count();
+  std::vector<std::int32_t> dist(n, graph::unreachable);
+  std::vector<double> sigma(n, 0.0);
+  std::vector<std::vector<graph::edge_id>> pred(n);
+  std::queue<graph::node_id> frontier;
+  dist[sender] = 0;
+  sigma[sender] = 1.0;
+  frontier.push(sender);
+  while (!frontier.empty()) {
+    const graph::node_id v = frontier.front();
+    frontier.pop();
+    if (dist[receiver] != graph::unreachable && dist[v] >= dist[receiver])
+      break;  // receiver level fully settled
+    g_.for_each_out(v, [&](graph::edge_id e, const graph::edge& ed) {
+      if (ed.capacity < amount) return;
+      if (dist[ed.dst] == graph::unreachable) {
+        dist[ed.dst] = dist[v] + 1;
+        frontier.push(ed.dst);
+      }
+      if (dist[ed.dst] == dist[v] + 1) {
+        sigma[ed.dst] += sigma[v];
+        pred[ed.dst].push_back(e);
+      }
+    });
+  }
+  if (dist[receiver] == graph::unreachable) return {};
+  std::vector<graph::edge_id> path;
+  graph::node_id v = receiver;
+  std::vector<double> weights;
+  while (v != sender) {
+    weights.clear();
+    for (const graph::edge_id e : pred[v])
+      weights.push_back(sigma[g_.edge_at(e).src]);
+    const graph::edge_id e =
+        pred[v][tie_breaker->discrete(weights)];
+    path.push_back(e);
+    v = g_.edge_at(e).src;
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+/// A channel per undirected pair of `host`, with random deposits (some
+/// sides empty) and a second parallel channel on some pairs.
+network random_network(const graph::digraph& host, rng& gen) {
+  network net(host.node_count());
+  const auto deposit = [&] {
+    return gen.bernoulli(0.15) ? 0.0 : gen.uniform_real(0.5, 10.0);
+  };
+  for (graph::node_id v = 0; v < host.node_count(); ++v)
+    host.for_each_out(v, [&](graph::edge_id, const graph::edge& ed) {
+      if (v > ed.dst) return;
+      const int copies = gen.bernoulli(0.2) ? 2 : 1;
+      for (int i = 0; i < copies; ++i) {
+        const double da = deposit();
+        const double db = deposit();
+        net.open_channel(v, ed.dst, da == 0.0 && db == 0.0 ? 1.0 : da, db);
+      }
+    });
+  return net;
+}
+
+TEST(TieBreakRouting, MatchesVerbatimSamplerOnEveryPayment) {
+  // The library pays on `net`; the oracle picks the route on `twin` and
+  // pays it with execute_route. Both tie-breakers share a seed, so equal
+  // routes on every payment also leave the two rng streams in step.
+  rng gen(20231014);
+  std::vector<std::pair<std::string, graph::digraph>> hosts;
+  hosts.emplace_back("ws", graph::watts_strogatz(80, 2, 0.2, gen));
+  hosts.emplace_back("ba", graph::barabasi_albert(90, 2, gen));
+  hosts.emplace_back("er", graph::erdos_renyi(70, 0.06, gen));
+  hosts.emplace_back("grid", graph::grid_graph(8, 9));
+  std::size_t delivered = 0, failed = 0, sampled = 0;
+  for (const auto& [name, host] : hosts) {
+    network net = random_network(host, gen);
+    network twin = net;
+    rng tie(gen.uniform_int(0, 1 << 30));
+    rng twin_tie = tie;
+    const auto n = static_cast<std::int64_t>(host.node_count());
+    for (int i = 0; i < 3000; ++i) {
+      const auto s = static_cast<graph::node_id>(gen.uniform_int(0, n - 1));
+      auto r = static_cast<graph::node_id>(gen.uniform_int(0, n - 2));
+      if (r >= s) ++r;
+      const double amount = gen.uniform_real(0.05, 6.0);
+      const payment_result got = net.execute_payment(s, r, amount, nullptr, &tie);
+      const std::vector<graph::edge_id> want =
+          oracle_sample(twin.topology(), s, r, amount, &twin_tie);
+      ASSERT_EQ(got.edges, want) << name << " payment " << i << ": " << s
+                                 << " -> " << r << " amount " << amount;
+      if (want.empty()) {
+        ASSERT_EQ(got.error, payment_error::no_feasible_path);
+        ++failed;
+        continue;
+      }
+      ASSERT_TRUE(twin.execute_route(s, want, amount).ok()) << name;
+      ++delivered;
+      if (want.size() > 1) ++sampled;
+    }
+    EXPECT_EQ(tie(), twin_tie()) << name;
+  }
+  EXPECT_GT(delivered, 6000u);
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(sampled, delivered / 2);
 }
 
 }  // namespace
